@@ -810,7 +810,9 @@ func BenchmarkStreamingSimulate(b *testing.B) {
 		c := cfg
 		c.Shards = 4
 		c.WindowSeconds = 60
-		c.NoPipeline = phased
+		if phased {
+			c.Workers = 1
+		}
 		c.ArrivalSource = func(nodeID int) (runtime.Stream, error) {
 			return runtime.InputStream(cfg.Inputs(nodeID), 1, duration)
 		}

@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -99,6 +100,10 @@ func main() {
 		log.Fatal("-stream requires the compiled engine")
 	}
 
+	figs := []string{"3", "5a", "5b", "6", "7", "8", "9", "10", "text", "scale", "solvers", "batch", "replan", "recovery", "dist", "all"}
+	if !slices.Contains(figs, *fig) {
+		log.Fatalf("unknown -fig %q (want one of %s)", *fig, strings.Join(figs, ", "))
+	}
 	want := func(name string) bool { return *fig == "all" || *fig == name }
 	out := func(t *experiments.Table) { fmt.Println(); fmt.Print(t.String()) }
 

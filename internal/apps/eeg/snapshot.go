@@ -98,7 +98,7 @@ func loadFIRState(data []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	taps := make([]float64, r.Uvarint())
+	taps := make([]float64, r.Count())
 	for i := range taps {
 		taps[i] = r.F64()
 	}
@@ -120,9 +120,9 @@ func saveInt16Queue(w *wire.SnapshotWriter, q [][]int16) {
 }
 
 func loadInt16Queue(r *wire.SnapshotReader) [][]int16 {
-	q := make([][]int16, 0, r.Uvarint())
+	q := make([][]int16, 0, r.Count())
 	for i := 0; i < cap(q); i++ {
-		block := make([]int16, r.Uvarint())
+		block := make([]int16, r.Count())
 		for j := range block {
 			block[j] = int16(r.U16())
 		}
@@ -161,9 +161,9 @@ func loadZipState(data []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &zipState{q: make([][]dataflow.Value, r.Uvarint())}
+	s := &zipState{q: make([][]dataflow.Value, r.Count())}
 	for p := range s.q {
-		n := int(r.Uvarint())
+		n := r.Count()
 		if n == 0 {
 			continue
 		}
@@ -173,7 +173,7 @@ func loadZipState(data []byte) (any, error) {
 			case zipValFloat32:
 				q = append(q, f32frombits(uint32(r.Uvarint())))
 			case zipValFeatVec:
-				row := make(featVec, r.Uvarint())
+				row := make(featVec, r.Count())
 				for j := range row {
 					row[j] = f32frombits(uint32(r.Uvarint()))
 				}

@@ -44,7 +44,7 @@ func attachSnapshotCodecs(g *dataflow.Graph) {
 				if err != nil {
 					return nil, err
 				}
-				taps := make([]float64, r.Uvarint())
+				taps := make([]float64, r.Count())
 				for i := range taps {
 					taps[i] = r.F64()
 				}

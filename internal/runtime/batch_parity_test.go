@@ -86,7 +86,9 @@ func TestBatchedStreamParity(t *testing.T) {
 	run := func(noBatch, noPipeline bool) *runtime.Result {
 		cfg := base
 		cfg.NoBatch = noBatch
-		cfg.NoPipeline = noPipeline
+		if noPipeline {
+			cfg.Workers = 1
+		}
 		cfg.WindowSeconds = 10
 		cfg.ArrivalSource = func(nodeID int) (runtime.Stream, error) {
 			return runtime.InputStream(

@@ -2,12 +2,10 @@ package runtime
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
 	"wishbone/internal/dataflow"
-	"wishbone/internal/netsim"
 	"wishbone/internal/wire"
 )
 
@@ -36,14 +34,14 @@ type HostBinding struct {
 	Origins []int
 }
 
-// DistSession is the coordinator of a distributed run. It exposes the
-// same Offer/Close surface as Session, but the node phase and per-origin
-// delivery run on the bound shard hosts; the coordinator keeps exactly
-// the global pieces: the window clock, the in-network reduce aggregation
-// (rounds combine across all nodes), the delivery-ratio pricing (a
-// function of every host's offered air), and the aggregate-origin
-// delivery (AggregateOrigin's RNG, reassembly and relocated state live
-// in the coordinator's own one-shard plan).
+// DistSession is the coordinator of a distributed run. It shares
+// Session's coordinator core — the Offer surface, window clock, in-network
+// reduce aggregation (rounds combine across all nodes) and delivery-ratio
+// pricing (a function of every host's offered air) — but the node phase
+// and per-origin delivery run on the bound shard hosts. It keeps only the
+// host fan-out, the reduce-contribution merge, recovery, and the
+// aggregate-origin delivery (AggregateOrigin's RNG, reassembly and
+// relocated state live in the coordinator's own one-shard plan).
 //
 // Results are byte-identical to the single-host Session at every host
 // count and origin placement: integer counters sum order-free across
@@ -51,25 +49,17 @@ type HostBinding struct {
 // bookkeeping stays on one goroutine in window order, and per-node CPU
 // seconds are summed in global node order at Close.
 type DistSession struct {
-	cfg     Config
-	ch      netsim.Channel
-	agg     *reduceAggregator
+	coordinator
 	aggPlan *deliveryPlan
 	hosts   []HostBinding
 	ownerOf []int // node -> index into hosts
-	sources map[*dataflow.Operator]bool
 	edges   []*dataflow.Edge
-	window  float64
 
 	// Per-window scratch: arrivals grouped per host, and the per-host
 	// window reports.
 	hostArr [][]HostArrival
 	reports []*WindowReport
 	errs    []error
-
-	// OnWindow mirrors Session.OnWindow: every priced window's load
-	// observation, delivered on the Offer caller's goroutine.
-	OnWindow func(WindowObservation)
 
 	// Host-failure recovery (recovery.go): the armed policy, each host's
 	// last boundary checkpoint, and the window tail flushed since it.
@@ -78,23 +68,6 @@ type DistSession struct {
 	tail       []distWindowRec
 	sinceCkpt  int
 	recoveries []RecoveryEvent
-
-	scen *scenarioState
-
-	buf          [][]arrival
-	maxBuffered  int
-	windowStart  float64
-	lastSpan     float64
-	lastTime     float64
-	buffered     int
-	peakBuffered int
-	totalAir     int
-	ratioFirst   float64
-	ratioAir     float64
-	ratioUniform bool
-	sawWindow    bool
-	res          Result
-	closed       bool
 }
 
 // Distributable reports whether cfg's simulation can be split across
@@ -119,35 +92,19 @@ func NewDistSession(cfg Config, hosts []HostBinding) (*DistSession, error) {
 	if !shardable(&cfg) {
 		return nil, fmt.Errorf("runtime: partition has global server state; it cannot be distributed by origin")
 	}
-	if math.IsNaN(cfg.WindowSeconds) || math.IsInf(cfg.WindowSeconds, 0) || cfg.WindowSeconds < 0 {
-		return nil, fmt.Errorf("runtime: bad WindowSeconds %g", cfg.WindowSeconds)
+	s := &DistSession{
+		hosts:   hosts,
+		ownerOf: make([]int, cfg.Nodes),
+		edges:   cfg.Graph.Edges(),
+		hostArr: make([][]HostArrival, len(hosts)),
+		reports: make([]*WindowReport, len(hosts)),
+		errs:    make([]error, len(hosts)),
+	}
+	if err := s.init(cfg, s.flushWindow); err != nil {
+		return nil, err
 	}
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("runtime: distributed run needs at least one host")
-	}
-	s := &DistSession{
-		cfg:          cfg,
-		ch:           netsim.ChannelFor(cfg.Platform),
-		agg:          newReduceAggregator(cfg.Nodes),
-		hosts:        hosts,
-		ownerOf:      make([]int, cfg.Nodes),
-		edges:        cfg.Graph.Edges(),
-		window:       cfg.WindowSeconds,
-		hostArr:      make([][]HostArrival, len(hosts)),
-		reports:      make([]*WindowReport, len(hosts)),
-		errs:         make([]error, len(hosts)),
-		buf:          make([][]arrival, cfg.Nodes),
-		maxBuffered:  cfg.MaxBufferedArrivals,
-		ratioUniform: true,
-	}
-	if s.maxBuffered <= 0 || s.maxBuffered > maxWindowArrivals {
-		s.maxBuffered = maxWindowArrivals
-	}
-	if s.window <= 0 {
-		s.window = 10
-	}
-	if s.window > cfg.Duration {
-		s.window = cfg.Duration
 	}
 	for i := range s.ownerOf {
 		s.ownerOf[i] = -1
@@ -181,71 +138,7 @@ func NewDistSession(cfg Config, hosts []HostBinding) (*DistSession, error) {
 		return nil, err
 	}
 	s.aggPlan = plan
-	s.lastSpan = s.window
-	s.sources = make(map[*dataflow.Operator]bool)
-	for _, src := range cfg.Graph.Sources() {
-		s.sources[src] = true
-	}
-	s.scen = newScenarioState(&s.cfg)
 	return s, nil
-}
-
-// Offer feeds one arrival, exactly like Session.Offer: globally
-// nondecreasing time, window-boundary crossings flush through the hosts.
-func (s *DistSession) Offer(nodeID int, a Arrival) error {
-	if s.closed {
-		return fmt.Errorf("runtime: Offer on a closed DistSession")
-	}
-	if nodeID < 0 || nodeID >= s.cfg.Nodes {
-		return fmt.Errorf("runtime: arrival for node %d outside [0,%d): %w", nodeID, s.cfg.Nodes, ErrBadArrival)
-	}
-	if !s.sources[a.Source] {
-		return fmt.Errorf("runtime: arrival source %v is not a source of the graph: %w", a.Source, ErrBadArrival)
-	}
-	if a.Time < s.lastTime {
-		return fmt.Errorf("runtime: arrivals out of order (%.6f after %.6f): %w", a.Time, s.lastTime, ErrBadArrival)
-	}
-	s.lastTime = a.Time
-	if a.Time >= s.cfg.Duration {
-		return nil
-	}
-	if err := s.advance(a.Time); err != nil {
-		return err
-	}
-	if s.scen.drops(nodeID, a.Time) {
-		return nil
-	}
-	if s.buffered >= s.maxBuffered {
-		return fmt.Errorf("runtime: window [%g,%g) exceeds %d buffered arrivals: %w",
-			s.windowStart, s.windowStart+s.window, s.maxBuffered, ErrBackpressure)
-	}
-	s.buf[nodeID] = append(s.buf[nodeID], arrival{t: a.Time, src: a.Source, v: a.Value})
-	s.buffered++
-	if s.buffered > s.peakBuffered {
-		s.peakBuffered = s.buffered
-	}
-	return nil
-}
-
-// advance mirrors Session.advance: flush every crossed window boundary,
-// jumping the clock over empty gaps in one step.
-func (s *DistSession) advance(t float64) error {
-	for t >= s.windowStart+s.window {
-		if s.windowStart+s.window <= s.windowStart {
-			return fmt.Errorf("runtime: WindowSeconds %g cannot advance the window clock at t=%g",
-				s.window, s.windowStart)
-		}
-		if s.buffered == 0 {
-			if steps := math.Floor((t - s.windowStart) / s.window); steps > 1 {
-				s.windowStart += (steps - 1) * s.window
-				continue
-			}
-		}
-		if err := s.flushWindow(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // flushWindow drives one distributed window barrier:
@@ -258,34 +151,23 @@ func (s *DistSession) advance(t float64) error {
 //  4. broadcast the ratio — hosts deliver their held messages — and
 //     deliver the flushed aggregates through the coordinator's plan.
 func (s *DistSession) flushWindow() error {
-	cfg := &s.cfg
-	span := s.window
-	if rest := cfg.Duration - s.windowStart; rest < span {
-		span = rest
-	}
-	s.windowStart += s.window
-	if s.buffered == 0 {
+	span, ok := s.beginWindow()
+	if !ok {
 		return nil
 	}
-	s.lastSpan = span
-
 	for hi := range s.hostArr {
 		s.hostArr[hi] = s.hostArr[hi][:0]
 	}
 	// Nodes ascending: each host receives its origins' arrivals in the
 	// same per-node order the single-host path feeds them.
-	for n := 0; n < cfg.Nodes; n++ {
-		buf := s.buf[n]
-		if len(buf) == 0 {
-			continue
-		}
+	for n, buf := range s.buf {
 		hi := s.ownerOf[n]
 		for _, a := range buf {
 			s.hostArr[hi] = append(s.hostArr[hi], HostArrival{
 				Node: n, Time: a.t, Source: a.src.ID(), Value: a.v,
 			})
 		}
-		s.buf[n] = s.buf[n][:0]
+		s.buf[n] = buf[:0]
 	}
 	s.buffered = 0
 	s.recordWindow(span)
@@ -331,9 +213,7 @@ func (s *DistSession) flushWindow() error {
 			value: v, packets: rm.Packets,
 		})
 	}
-	out := s.agg.add(cfg, msgs, &s.res, nil)
-	out = s.agg.flushComplete(cfg, &s.res, out)
-	out = s.agg.flushExcess(cfg, &s.res, out)
+	out := s.fold(msgs, nil)
 	for i := range out {
 		if out[i].nodeID != AggregateOrigin {
 			// A non-reduce message can only reach the coordinator's out
@@ -358,47 +238,27 @@ func (s *DistSession) flushWindow() error {
 // aggregates.
 func (s *DistSession) deliverWindow(out []message, span float64, active []int) error {
 	air, held := 0, 0
+	var deliverers []int
 	for _, hi := range active {
 		air += s.reports[hi].Air
 		held += s.reports[hi].Held
+		if s.reports[hi].Held > 0 {
+			deliverers = append(deliverers, hi)
+		}
 	}
 	for i := range out {
 		air += out[i].air
 	}
-	if held+len(out) == 0 {
-		if s.OnWindow != nil {
-			s.OnWindow(WindowObservation{Start: s.windowStart - s.window, Span: span})
-		}
+	ratio, ok := s.price(air, held+len(out), span)
+	if !ok {
 		return nil
 	}
-	s.totalAir += air
-	ratio := s.ch.DeliveryRatio(float64(air) / span)
-	ratio = s.scen.priceRatio(ratio, s.windowIndex())
 	if len(active) > 0 && len(s.tail) > 0 {
 		// flushWindow-driven deliveries record the priced ratio on the
 		// window's replay record; the Close-tail delivery (active == nil)
 		// has no record — it belongs to the coordinator's aggregates only.
 		rec := &s.tail[len(s.tail)-1]
 		rec.priced, rec.ratio = true, ratio
-	}
-	if !s.sawWindow {
-		s.ratioFirst, s.sawWindow = ratio, true
-	} else if ratio != s.ratioFirst {
-		s.ratioUniform = false
-	}
-	s.ratioAir += ratio * float64(air)
-	if s.OnWindow != nil {
-		s.OnWindow(WindowObservation{
-			Start: s.windowStart - s.window, Span: span,
-			AirBytes: air, Ratio: ratio, Messages: held + len(out),
-		})
-	}
-
-	deliverers := make([]int, 0, len(active))
-	for _, hi := range active {
-		if s.reports[hi].Held > 0 {
-			deliverers = append(deliverers, hi)
-		}
 	}
 	s.eachHost(deliverers, func(hi int) error {
 		return s.hosts[hi].Driver.DeliverWindow(ratio)
@@ -458,28 +318,15 @@ func (s *DistSession) Close() (*Result, error) {
 	if s.closed {
 		return nil, fmt.Errorf("runtime: Close on a closed DistSession")
 	}
-	s.closed = true
-	aborted := false
-	abort := func(err error) (*Result, error) {
-		aborted = true
-		for _, b := range s.hosts {
-			b.Driver.Abort()
-		}
-		s.aggPlan.close()
+	tail, err := s.beginClose(nil)
+	if err != nil {
+		s.abortAll()
 		return nil, err
 	}
-	cfg := &s.cfg
-	if s.buffered > 0 {
-		if err := s.flushWindow(); err != nil {
-			return abort(err)
-		}
-	}
-	tail := s.agg.flushAll(cfg, &s.res, nil)
 	if err := s.deliverWindow(tail, s.lastSpan, nil); err != nil {
-		return abort(err)
+		s.abortAll()
+		return nil, err
 	}
-
-	busy := make([]float64, cfg.Nodes)
 	results := make([]*HostResult, len(s.hosts))
 	all := s.activeHosts(func(int) bool { return true })
 	s.eachHost(all, func(hi int) error {
@@ -496,14 +343,12 @@ func (s *DistSession) Close() (*Result, error) {
 			results[hi], s.errs[hi] = s.hosts[hi].Driver.Close()
 		}
 	}
+	// Close already tore the hosts down; only the coordinator's plan is
+	// left to release on an error.
+	busy := make([]float64, s.cfg.Nodes)
 	for hi := range s.hosts {
 		if err := s.errs[hi]; err != nil {
-			if !aborted {
-				// Close already tore the hosts down; only the coordinator's
-				// plan is left.
-				s.aggPlan.close()
-				aborted = true
-			}
+			s.aggPlan.close()
 			return nil, err
 		}
 		hr := results[hi]
@@ -515,7 +360,7 @@ func (s *DistSession) Close() (*Result, error) {
 		s.res.DeliveredBytes += hr.DeliveredBytes
 		s.res.ServerEmits += hr.ServerEmits
 		for _, nb := range hr.NodeBusy {
-			if nb.Node < 0 || nb.Node >= cfg.Nodes {
+			if nb.Node < 0 || nb.Node >= s.cfg.Nodes {
 				return nil, fmt.Errorf("runtime: host %d reports busy for node %d", hi, nb.Node)
 			}
 			busy[nb.Node] = nb.Busy
@@ -525,19 +370,16 @@ func (s *DistSession) Close() (*Result, error) {
 	for _, b := range busy {
 		s.res.NodeCPU += b
 	}
-	s.res.NodeCPU /= cfg.Duration * float64(cfg.Nodes)
-	s.res.OfferedAirBytesPerSec = float64(s.totalAir) / cfg.Duration
-	switch {
-	case !s.sawWindow:
-		s.res.DeliveryRatio = s.ch.DeliveryRatio(0)
-	case s.ratioUniform:
-		s.res.DeliveryRatio = s.ratioFirst
-	default:
-		s.res.DeliveryRatio = s.ratioAir / float64(s.totalAir)
-	}
 	s.aggPlan.collect(&s.res)
-	res := s.res
-	return &res, nil
+	return s.finish(), nil
+}
+
+// abortAll aborts every host and releases the coordinator's plan.
+func (s *DistSession) abortAll() {
+	for _, b := range s.hosts {
+		b.Driver.Abort()
+	}
+	s.aggPlan.close()
 }
 
 // Abort tears the coordinator and every host down (error paths).
@@ -546,23 +388,10 @@ func (s *DistSession) Abort() {
 		return
 	}
 	s.closed = true
-	for _, b := range s.hosts {
-		b.Driver.Abort()
-	}
-	s.aggPlan.close()
+	s.abortAll()
 }
 
-// PeakBuffered mirrors Session.PeakBuffered.
-func (s *DistSession) PeakBuffered() int { return s.peakBuffered }
-
-// windowIndex is the zero-based index of the window being priced (its
-// start is windowStart - window: flushWindow has already advanced the
-// clock past it). The index is what the burst model's per-window chain
-// keys on, so it must be identical across placements — it is, because
-// the window clock is identical.
-func (s *DistSession) windowIndex() int {
-	return int(math.Round(s.windowStart/s.window)) - 1
-}
+func (s *DistSession) teardown() { s.Abort() }
 
 // LocalHost adapts an in-process ShardHost to HostDriver — the degenerate
 // single-machine placement, and the reference the HTTP driver must match.

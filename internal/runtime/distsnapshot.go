@@ -3,59 +3,17 @@ package runtime
 import (
 	"fmt"
 	"sort"
-
-	"wishbone/internal/wire"
 )
 
 // Distributed snapshot/handoff: a distributed run freezes into the SAME
 // versioned session-snapshot encoding a single-host Session produces —
-// the coordinator assembles its global pieces (clock, ratio bookkeeping,
-// buffered arrivals, reduce-aggregation rounds, AggregateOrigin delivery
-// state) with each host's per-origin contribution (node sides and
-// per-origin delivery state), and the result resumes anywhere: a local
-// Session, the same placement, a different placement, or — after
-// MigrateSnapshot — a different cut. Cross-host operator relocation is
-// exactly this round trip.
-
-// check validates a decoded snapshot against a run Config (the same
-// fields checkSessionHeader pins).
-func (snap *sessionSnap) check(cfg *Config, window float64) error {
-	saved := make(map[int]bool, len(snap.onNode))
-	for _, id := range snap.onNode {
-		saved[id] = true
-	}
-	for _, op := range cfg.Graph.Operators() {
-		if cfg.OnNode[op.ID()] != saved[op.ID()] {
-			return fmt.Errorf("runtime: snapshot is of a different cut (operator %s changed sides)", op)
-		}
-	}
-	if snap.platform != cfg.Platform.Name {
-		return fmt.Errorf("runtime: snapshot platform %q, config platform %q", snap.platform, cfg.Platform.Name)
-	}
-	if snap.nodes != cfg.Nodes {
-		return fmt.Errorf("runtime: snapshot has %d nodes, config %d", snap.nodes, cfg.Nodes)
-	}
-	if snap.duration != cfg.Duration {
-		return fmt.Errorf("runtime: snapshot duration %g, config %g", snap.duration, cfg.Duration)
-	}
-	if snap.seed != cfg.Seed {
-		return fmt.Errorf("runtime: snapshot seed %d, config %d", snap.seed, cfg.Seed)
-	}
-	if snap.window != window {
-		return fmt.Errorf("runtime: snapshot window %g, config %g", snap.window, window)
-	}
-	return nil
-}
-
-// hostSnap is one shard host's frozen contribution: its send-side
-// counters, its per-origin node sides, and its delivery plan's state.
-type hostSnap struct {
-	msgsSent     int64
-	payloadBytes int64
-	origins      []int
-	sides        map[int]nodeSnap
-	shard        *ShardState
-}
+// the coordinator core contributes its global pieces (clock, ratio
+// bookkeeping, buffered arrivals, reduce-aggregation rounds), the
+// coordinator's plan the AggregateOrigin delivery state, and each host
+// its per-origin node sides and delivery state. The result resumes
+// anywhere: a local Session, the same placement, a different placement,
+// or — after MigrateSnapshot — a different cut. Cross-host operator
+// relocation is exactly this round trip.
 
 // Snapshot freezes the host at the current window boundary and returns
 // its contribution blob. Terminal, like Session.Snapshot: the host's
@@ -97,25 +55,23 @@ func (h *ShardHost) Checkpoint() ([]byte, error) {
 	return h.encodeHostBlob()
 }
 
-// encodeHostBlob writes the host contribution encoding shared by
-// Snapshot and Checkpoint: send-side counters, per-origin node sides,
-// and the delivery plan's state with any checkpoint-carried delivery
-// counters folded in (so a chain of restores keeps reporting the full
-// accrual).
+// encodeHostBlob freezes the host contribution shared by Snapshot and
+// Checkpoint: send-side counters, per-origin node sides, and the delivery
+// plan's state with any checkpoint-carried delivery counters folded in
+// (so a chain of restores keeps reporting the full accrual).
 func (h *ShardHost) encodeHostBlob() ([]byte, error) {
-	eidx, err := edgeIndexes(&h.cfg)
-	if err != nil {
-		return nil, err
+	hs := &hostSnap{
+		msgsSent:     int64(h.res.MsgsSent),
+		payloadBytes: int64(h.res.PayloadBytes),
+		origins:      h.origins,
+		sides:        make(map[int]nodeSnap, len(h.origins)),
 	}
-	w := wire.NewSnapshotWriter()
-	w.Int(int64(h.res.MsgsSent))
-	w.Int(int64(h.res.PayloadBytes))
-	w.Uvarint(uint64(len(h.origins)))
 	for _, n := range h.origins {
-		w.Int(int64(n))
-		if err := saveNodeSide(w, &h.cfg, h.prog, eidx, h.nodes[n], h.insts[n]); err != nil {
+		var side nodeSnap
+		if err := snapNodeSide(&side, &h.cfg, h.prog, h.eidx, h.nodes[n], h.insts[n]); err != nil {
 			return nil, err
 		}
+		hs.sides[n] = side
 	}
 	st, err := h.plan.snapshotState(&h.cfg)
 	if err != nil {
@@ -124,46 +80,8 @@ func (h *ShardHost) encodeHostBlob() ([]byte, error) {
 	st.MsgsReceived += h.carriedRecv
 	st.DeliveredBytes += h.carriedDelivered
 	st.ServerEmits += h.carriedEmits
-	st.save(w)
-	return w.Bytes(), nil
-}
-
-func decodeHostSnap(cfg *Config, data []byte) (*hostSnap, error) {
-	r, err := wire.NewSnapshotReader(data)
-	if err != nil {
-		return nil, err
-	}
-	hs := &hostSnap{sides: make(map[int]nodeSnap)}
-	hs.msgsSent = r.Int()
-	hs.payloadBytes = r.Int()
-	nOrigins := int(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	nEdges := len(cfg.Graph.Edges())
-	for i := 0; i < nOrigins; i++ {
-		n := int(r.Int())
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if n < 0 || n >= cfg.Nodes {
-			return nil, fmt.Errorf("runtime: host snapshot origin %d outside [0,%d)", n, cfg.Nodes)
-		}
-		side, err := decodeNodeSide(r, nEdges)
-		if err != nil {
-			return nil, err
-		}
-		hs.origins = append(hs.origins, n)
-		hs.sides[n] = side
-	}
-	hs.shard = loadShardState(r)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if !r.Done() {
-		return nil, fmt.Errorf("runtime: trailing bytes after host snapshot")
-	}
-	return hs, nil
+	hs.shard = st
+	return encodeHostSnap(hs), nil
 }
 
 // RestoreShardHost builds a shard host whose owned origins resume from a
@@ -173,47 +91,18 @@ func decodeHostSnap(cfg *Config, data []byte) (*hostSnap, error) {
 // and carried counters — a restored host starts its own counters at
 // zero, exactly like the counter split in deliveryPlan.restoreState.
 func RestoreShardHost(cfg Config, origins []int, data []byte) (*ShardHost, error) {
-	if err := checkSnapshotable(&cfg); err != nil {
-		return nil, err
-	}
-	h, err := NewShardHost(cfg, origins)
-	if err != nil {
-		return nil, err
-	}
-	abort := func(err error) (*ShardHost, error) {
-		h.Abort()
-		return nil, err
-	}
-	snap, err := decodeSessionSnap(cfg.Graph, data)
-	if err != nil {
-		return abort(err)
-	}
-	if err := snap.check(&h.cfg, snap.window); err != nil {
+	return restoreShardHost(cfg, origins, func(h *ShardHost) error {
+		snap, err := decodeSessionSnap(h.cfg.Graph, data)
+		if err != nil {
+			return err
+		}
 		// The window is the coordinator's to validate; hosts only pin the
-		// cut/platform/run identity (snap.window self-compares above).
-		return abort(err)
-	}
-	for _, n := range h.origins {
-		side := snap.perNode[n]
-		if err := applyNodeSnap(&h.cfg, h.prog, &side, h.nodes[n], h.insts[n]); err != nil {
-			return abort(err)
+		// cut/platform/run identity (snap.window self-compares).
+		if err := snap.check(&h.cfg, snap.window); err != nil {
+			return err
 		}
-	}
-	// The host's delivery plan restores only its owned origins' state;
-	// AggregateOrigin stays with the coordinator, and the carried counters
-	// stay zero here (the coordinator folds them exactly once).
-	sub := &ShardState{}
-	for i := range snap.shard.Origins {
-		o := snap.shard.Origins[i]
-		if o.Origin == AggregateOrigin || !h.owned[o.Origin] {
-			continue
-		}
-		sub.Origins = append(sub.Origins, o)
-	}
-	if err := h.plan.restoreState(&h.cfg, sub); err != nil {
-		return abort(err)
-	}
-	return h, nil
+		return h.restoreOwned(func(n int) nodeSnap { return snap.perNode[n] }, snap.shard)
+	})
 }
 
 // RestoreShardHostCheckpoint builds a shard host resuming from a host
@@ -225,6 +114,31 @@ func RestoreShardHost(cfg Config, origins []int, data []byte) (*ShardHost, error
 // host's counters are not splittable per origin, so a lost host's origins
 // move to their new home together.
 func RestoreShardHostCheckpoint(cfg Config, origins []int, data []byte) (*ShardHost, error) {
+	return restoreShardHost(cfg, origins, func(h *ShardHost) error {
+		hs, err := decodeHostSnap(&h.cfg, data)
+		if err != nil {
+			return err
+		}
+		if len(hs.origins) != len(h.origins) {
+			return fmt.Errorf("runtime: checkpoint holds %d origins, host owns %d", len(hs.origins), len(h.origins))
+		}
+		for i, n := range hs.origins {
+			if n != h.origins[i] {
+				return fmt.Errorf("runtime: checkpoint origin set %v does not match host origins %v", hs.origins, h.origins)
+			}
+		}
+		h.res.MsgsSent = int(hs.msgsSent)
+		h.res.PayloadBytes = int(hs.payloadBytes)
+		h.carriedRecv = hs.shard.MsgsReceived
+		h.carriedDelivered = hs.shard.DeliveredBytes
+		h.carriedEmits = hs.shard.ServerEmits
+		return h.restoreOwned(func(n int) nodeSnap { return hs.sides[n] }, hs.shard)
+	})
+}
+
+// restoreShardHost builds a host for origins and loads its state; a
+// failed load aborts the host.
+func restoreShardHost(cfg Config, origins []int, load func(h *ShardHost) error) (*ShardHost, error) {
 	if err := checkSnapshotable(&cfg); err != nil {
 		return nil, err
 	}
@@ -232,45 +146,30 @@ func RestoreShardHostCheckpoint(cfg Config, origins []int, data []byte) (*ShardH
 	if err != nil {
 		return nil, err
 	}
-	abort := func(err error) (*ShardHost, error) {
+	if err := load(h); err != nil {
 		h.Abort()
 		return nil, err
 	}
-	hs, err := decodeHostSnap(&h.cfg, data)
-	if err != nil {
-		return abort(err)
-	}
-	if len(hs.origins) != len(h.origins) {
-		return abort(fmt.Errorf("runtime: checkpoint holds %d origins, host owns %d", len(hs.origins), len(h.origins)))
-	}
-	for i, n := range hs.origins {
-		if n != h.origins[i] {
-			return abort(fmt.Errorf("runtime: checkpoint origin set %v does not match host origins %v", hs.origins, h.origins))
-		}
-	}
-	h.res.MsgsSent = int(hs.msgsSent)
-	h.res.PayloadBytes = int(hs.payloadBytes)
-	for _, n := range h.origins {
-		side := hs.sides[n]
-		if err := applyNodeSnap(&h.cfg, h.prog, &side, h.nodes[n], h.insts[n]); err != nil {
-			return abort(err)
-		}
-	}
-	h.carriedRecv = hs.shard.MsgsReceived
-	h.carriedDelivered = hs.shard.DeliveredBytes
-	h.carriedEmits = hs.shard.ServerEmits
-	sub := &ShardState{}
-	for i := range hs.shard.Origins {
-		o := hs.shard.Origins[i]
-		if o.Origin == AggregateOrigin || !h.owned[o.Origin] {
-			continue
-		}
-		sub.Origins = append(sub.Origins, o)
-	}
-	if err := h.plan.restoreState(&h.cfg, sub); err != nil {
-		return abort(err)
-	}
 	return h, nil
+}
+
+// restoreOwned loads the owned origins' node sides and delivery state.
+// AggregateOrigin stays with the coordinator, and the carried counters
+// are not folded here (restoreState never folds them).
+func (h *ShardHost) restoreOwned(side func(n int) nodeSnap, st *ShardState) error {
+	for _, n := range h.origins {
+		ns := side(n)
+		if err := applyNodeSnap(&h.cfg, h.prog, &ns, h.nodes[n], h.insts[n]); err != nil {
+			return err
+		}
+	}
+	sub := &ShardState{}
+	for _, o := range st.Origins {
+		if o.Origin != AggregateOrigin && h.owned[o.Origin] {
+			sub.Origins = append(sub.Origins, o)
+		}
+	}
+	return h.plan.restoreState(&h.cfg, sub)
 }
 
 // Snapshot freezes a distributed run at the current window boundary into
@@ -278,13 +177,9 @@ func RestoreShardHostCheckpoint(cfg Config, origins []int, data []byte) (*ShardH
 // and every host. The bytes resume through ResumeSession (single-host),
 // ResumeDistSession (any placement) or MigrateSnapshot (a new cut).
 func (s *DistSession) Snapshot() ([]byte, error) {
-	if s.closed {
-		return nil, fmt.Errorf("runtime: Snapshot on a closed DistSession")
-	}
-	if err := checkSnapshotable(&s.cfg); err != nil {
+	if err := s.freeze("DistSession"); err != nil {
 		return nil, err
 	}
-	s.closed = true
 	cfg := &s.cfg
 	blobs := make([][]byte, len(s.hosts))
 	all := s.activeHosts(func(int) bool { return true })
@@ -332,92 +227,54 @@ func (s *DistSession) Snapshot() ([]byte, error) {
 	}
 	s.aggPlan.close()
 
-	eidx, err := edgeIndexes(cfg)
+	snap, err := s.snap(edgeIndexes(cfg))
 	if err != nil {
 		return nil, err
 	}
-	w := wire.NewSnapshotWriter()
-	saveSessionHeader(w, cfg, s.window)
-	w.F64(s.lastTime)
-	w.F64(s.windowStart)
-	w.F64(s.lastSpan)
-	w.Int(int64(s.peakBuffered))
-	w.Int(int64(s.totalAir))
-	w.F64(s.ratioFirst)
-	w.F64(s.ratioAir)
-	w.Bool(s.ratioUniform)
-	w.Bool(s.sawWindow)
-
-	res := s.res
+	// Send counters sum into the header; delivery counters travel in the
+	// shard state, where a resumed coordinator folds them exactly once.
 	st := &ShardState{
-		MsgsReceived:   res.MsgsReceived + aggSt.MsgsReceived,
-		DeliveredBytes: res.DeliveredBytes + aggSt.DeliveredBytes,
-		ServerEmits:    res.ServerEmits + aggSt.ServerEmits,
+		MsgsReceived:   snap.res.MsgsReceived + aggSt.MsgsReceived,
+		DeliveredBytes: snap.res.DeliveredBytes + aggSt.DeliveredBytes,
+		ServerEmits:    snap.res.ServerEmits + aggSt.ServerEmits,
+		Origins:        aggSt.Origins,
+		Server:         aggSt.Server,
 	}
-	res.MsgsReceived, res.DeliveredBytes, res.ServerEmits = 0, 0, 0
+	snap.res.MsgsReceived, snap.res.DeliveredBytes, snap.res.ServerEmits = 0, 0, 0
 	for _, hs := range hostSnaps {
-		res.MsgsSent += int(hs.msgsSent)
-		res.PayloadBytes += int(hs.payloadBytes)
+		snap.res.MsgsSent += int(hs.msgsSent)
+		snap.res.PayloadBytes += int(hs.payloadBytes)
 		st.MsgsReceived += hs.shard.MsgsReceived
 		st.DeliveredBytes += hs.shard.DeliveredBytes
 		st.ServerEmits += hs.shard.ServerEmits
+		for _, o := range hs.shard.Origins {
+			// The aggregate origin belongs to the coordinator's plan; a
+			// host plan can hold only a defensive empty entry.
+			if o.Origin != AggregateOrigin {
+				st.Origins = append(st.Origins, o)
+			}
+		}
 	}
-	w.Int(int64(res.InputEvents))
-	w.Int(int64(res.ProcessedEvents))
-	w.Int(int64(res.MsgsSent))
-	w.Int(int64(res.MsgsReceived))
-	w.Int(int64(res.PayloadBytes))
-	w.Int(int64(res.DeliveredBytes))
-	w.Int(int64(res.ServerEmits))
-
-	for n := 0; n < cfg.Nodes; n++ {
-		hs := hostSnaps[s.ownerOf[n]]
-		side, ok := hs.sides[n]
+	sort.Slice(st.Origins, func(i, j int) bool { return st.Origins[i].Origin < st.Origins[j].Origin })
+	snap.shard = st
+	for n := range snap.perNode {
+		side, ok := hostSnaps[s.ownerOf[n]].sides[n]
 		if !ok {
 			return nil, fmt.Errorf("runtime: host %d's snapshot is missing origin %d", s.ownerOf[n], n)
 		}
-		encodeNodeSide(w, &side)
-		buf := s.buf[n]
-		w.Uvarint(uint64(len(buf)))
-		for _, a := range buf {
-			w.F64(a.t)
-			w.Uvarint(uint64(a.src.ID()))
-			enc, err := wire.Marshal(a.v)
-			if err != nil {
-				return nil, fmt.Errorf("runtime: buffered arrival at node %d does not marshal: %w", n, err)
-			}
-			w.Blob(enc)
-		}
+		side.arrivals = snap.perNode[n].arrivals
+		snap.perNode[n] = side
 	}
-
-	if err := saveAggregator(w, s.agg, eidx); err != nil {
-		return nil, err
-	}
-	for _, hs := range hostSnaps {
-		for i := range hs.shard.Origins {
-			o := hs.shard.Origins[i]
-			if o.Origin == AggregateOrigin {
-				// The aggregate origin belongs to the coordinator's plan; a
-				// host plan can hold only a defensive empty entry.
-				continue
-			}
-			st.Origins = append(st.Origins, o)
-		}
-	}
-	st.Origins = append(st.Origins, aggSt.Origins...)
-	sort.Slice(st.Origins, func(i, j int) bool { return st.Origins[i].Origin < st.Origins[j].Origin })
-	st.Server = aggSt.Server
-	st.save(w)
-	return w.Bytes(), nil
+	return encodeSessionSnap(snap), nil
 }
 
 // ResumeDistSession rebuilds a distributed coordinator from a session
 // snapshot. The host bindings must already hold drivers whose sessions
 // restored their origins from the same snapshot (RestoreShardHost
 // locally, /v1/shard/open with Resume remotely) — this call restores
-// only the coordinator's pieces: clock, ratio bookkeeping, carried
-// counters, buffered arrivals, reduce rounds and the AggregateOrigin
-// delivery state.
+// only the coordinator's pieces: the core's clock, ratio bookkeeping,
+// carried counters, buffered arrivals and reduce rounds, and the
+// AggregateOrigin delivery state.
 func ResumeDistSession(cfg Config, hosts []HostBinding, data []byte) (*DistSession, error) {
 	if err := checkSnapshotable(&cfg); err != nil {
 		return nil, err
@@ -426,109 +283,19 @@ func ResumeDistSession(cfg Config, hosts []HostBinding, data []byte) (*DistSessi
 	if err != nil {
 		return nil, err
 	}
-	snap, err := decodeSessionSnap(cfg.Graph, data)
+	snap, err := s.resume(data)
+	if err == nil {
+		sub := &ShardState{Server: snap.shard.Server}
+		for _, o := range snap.shard.Origins {
+			if o.Origin == AggregateOrigin {
+				sub.Origins = append(sub.Origins, o)
+			}
+		}
+		err = s.aggPlan.restoreState(&s.cfg, sub)
+	}
 	if err != nil {
 		s.aggPlan.close()
 		return nil, err
 	}
-	if err := snap.check(&s.cfg, s.window); err != nil {
-		s.aggPlan.close()
-		return nil, err
-	}
-	s.lastTime = snap.lastTime
-	s.windowStart = snap.windowStart
-	s.lastSpan = snap.lastSpan
-	s.peakBuffered = int(snap.peakBuffered)
-	s.totalAir = int(snap.totalAir)
-	s.ratioFirst = snap.ratioFirst
-	s.ratioAir = snap.ratioAir
-	s.ratioUniform = snap.ratioUniform
-	s.sawWindow = snap.sawWindow
-	s.res.InputEvents = int(snap.res[0])
-	s.res.ProcessedEvents = int(snap.res[1])
-	s.res.MsgsSent = int(snap.res[2])
-	s.res.MsgsReceived = int(snap.res[3])
-	s.res.PayloadBytes = int(snap.res[4])
-	s.res.DeliveredBytes = int(snap.res[5])
-	s.res.ServerEmits = int(snap.res[6])
-
-	for n := range snap.perNode {
-		for _, a := range snap.perNode[n].arrivals {
-			src := cfg.Graph.ByID(a.src)
-			if src == nil || !s.sources[src] {
-				s.aggPlan.close()
-				return nil, fmt.Errorf("runtime: snapshot buffered arrival at non-source operator %d", a.src)
-			}
-			v, _, err := wire.Unmarshal(a.blob)
-			if err != nil {
-				s.aggPlan.close()
-				return nil, err
-			}
-			s.buf[n] = append(s.buf[n], arrival{t: a.t, src: src, v: v})
-			s.buffered++
-		}
-	}
-	if s.buffered > s.peakBuffered {
-		s.peakBuffered = s.buffered
-	}
-
-	if err := restoreAggFromSnap(&s.cfg, s.agg, snap.agg); err != nil {
-		s.aggPlan.close()
-		return nil, err
-	}
-	// The snapshot's carried delivery counters fold here exactly once
-	// (hosts restore with zeroed counters); the coordinator's plan takes
-	// only the AggregateOrigin state.
-	st := snap.shard
-	s.res.MsgsReceived += st.MsgsReceived
-	s.res.DeliveredBytes += st.DeliveredBytes
-	s.res.ServerEmits += st.ServerEmits
-	sub := &ShardState{}
-	for i := range st.Origins {
-		if st.Origins[i].Origin == AggregateOrigin {
-			sub.Origins = append(sub.Origins, st.Origins[i])
-		}
-	}
-	sub.Server = st.Server
-	if err := s.aggPlan.restoreState(&s.cfg, sub); err != nil {
-		s.aggPlan.close()
-		return nil, err
-	}
 	return s, nil
-}
-
-// restoreAggFromSnap loads decoded aggregator state into a live
-// reduceAggregator — the struct-form twin of loadAggregator.
-func restoreAggFromSnap(cfg *Config, a *reduceAggregator, snaps []aggEdgeSnap) error {
-	edges := cfg.Graph.Edges()
-	for i := range snaps {
-		ae := &snaps[i]
-		if ae.edge < 0 || ae.edge >= len(edges) {
-			return fmt.Errorf("runtime: snapshot aggregator edge %d of %d", ae.edge, len(edges))
-		}
-		e := edges[ae.edge]
-		a.edgeOrder = append(a.edgeOrder, e)
-		counts := make([]int, len(ae.counts))
-		for j, c := range ae.counts {
-			counts[j] = int(c)
-		}
-		a.counts[e] = counts
-		a.flushed[e] = int(ae.flushed)
-		a.seq[e] = ae.seq
-		pend := make([]*message, 0, len(ae.pending))
-		for j := range ae.pending {
-			p := &ae.pending[j]
-			if !p.present {
-				pend = append(pend, nil)
-				continue
-			}
-			v, _, err := wire.Unmarshal(p.blob)
-			if err != nil {
-				return err
-			}
-			pend = append(pend, &message{time: p.time, nodeID: AggregateOrigin, edge: e, value: v})
-		}
-		a.pending[e] = pend
-	}
-	return nil
 }

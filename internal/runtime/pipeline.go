@@ -209,7 +209,6 @@ func (p *pipe) flush(span float64) error {
 		return err
 	}
 	s := p.s
-	cfg := &s.cfg
 	win := p.getWin()
 	var wg sync.WaitGroup
 	wg.Add(len(p.nodeCh))
@@ -228,23 +227,10 @@ func (p *pipe) flush(span float64) error {
 	// Merge the per-node output in node order — identical to the phased
 	// path — and reset the senders' window accumulators (their backing
 	// arrays are reused next window; the structs were copied out).
-	msgs := win.msgs[:0]
-	for n, ns := range s.nodes {
-		msgs = append(msgs, ns.s.msgs...)
-		s.res.MsgsSent += ns.s.msgsSent
-		s.res.PayloadBytes += ns.s.payloadBytes
-		ns.s.msgs = ns.s.msgs[:0]
-		ns.s.msgsSent, ns.s.payloadBytes = 0, 0
-		s.buf[n] = s.buf[n][:0]
-	}
-	win.msgs = msgs
-	s.buffered = 0
+	win.msgs = s.collectWindow(win.msgs[:0])
 	s.agg.arena = win.arenas[len(p.shards)]
-	out := s.agg.add(cfg, msgs, &s.res, win.out[:0])
-	out = s.agg.flushComplete(cfg, &s.res, out)
-	out = s.agg.flushExcess(cfg, &s.res, out)
-	win.out = out
-	return s.deliverWindow(out, span, win)
+	win.out = s.fold(win.msgs, win.out[:0])
+	return s.deliverWindow(win.out, span, win)
 }
 
 // dispatch partitions one priced window by delivery shard and hands each

@@ -24,14 +24,13 @@ type pipelineVariant struct {
 	name     string
 	shards   int
 	workers  int
-	phased   bool // force NoPipeline
 	wantPipe bool // the variant must actually engage the pipeline
 }
 
 func pipelineVariants() []pipelineVariant {
 	return []pipelineVariant{
 		{name: "phased/workers=1", workers: 1},
-		{name: "phased/shards=4/workers=4", shards: 4, workers: 4, phased: true},
+		{name: "phased/shards=4/workers=1", shards: 4, workers: 1},
 		{name: "pipelined/shards=0/workers=4", shards: 0, workers: 4, wantPipe: true},
 		{name: "pipelined/shards=2/workers=2", shards: 2, workers: 2, wantPipe: true},
 		{name: "pipelined/shards=4/workers=4", shards: 4, workers: 4, wantPipe: true},
@@ -48,7 +47,6 @@ func runPipelineVariants(t *testing.T, cfg Config, ref *Result, refName string) 
 		c := cfg
 		c.Shards = v.shards
 		c.Workers = v.workers
-		c.NoPipeline = v.phased
 		sess, err := NewSession(c)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)

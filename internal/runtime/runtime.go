@@ -152,14 +152,6 @@ type Config struct {
 	// seconds; 0 means 10.
 	WindowSeconds float64
 
-	// NoPipeline forces a streaming Session to run its stages strictly in
-	// phase: node compute, then delivery, window by window. By default a
-	// session with a multi-worker budget pipelines the two (see
-	// pipeline.go) — shard s delivers window w while window w+1
-	// simulates — which is byte-identical to the phased run at any
-	// Shards/Workers setting (the Pipelined parity tests pin this).
-	NoPipeline bool
-
 	// MaxBufferedArrivals bounds how many arrivals a streaming Session
 	// may hold for the window in progress; 0 means the built-in cap.
 	// Exceeding it fails the Offer with ErrBackpressure — the partition

@@ -79,26 +79,37 @@ func (st *ShardState) save(w *wire.SnapshotWriter) {
 	saveOpStates(w, st.Server)
 }
 
-func loadShardState(r *wire.SnapshotReader) *ShardState {
+// loadShardState reads a ShardState, checking every origin against the
+// run's nodes and every stream edge against the graph.
+func loadShardState(r *wire.SnapshotReader, nodes, nEdges int) (*ShardState, error) {
 	st := &ShardState{
 		MsgsReceived:   int(r.Int()),
 		DeliveredBytes: int(r.Int()),
 		ServerEmits:    int(r.Int()),
 	}
-	st.Origins = make([]OriginState, r.Uvarint())
+	st.Origins = make([]OriginState, r.Count())
 	for i := range st.Origins {
 		o := &st.Origins[i]
 		o.Origin = int(r.Int())
 		o.Draws = r.Uvarint()
-		o.Streams = make([]EdgeStream, r.Uvarint())
+		o.Streams = make([]EdgeStream, r.Count())
 		for j := range o.Streams {
 			o.Streams[j].Edge = int(r.Uvarint())
 			o.Streams[j].Data = append([]byte(nil), r.Blob()...)
+			if e := o.Streams[j].Edge; e < 0 || e >= nEdges {
+				return nil, malformed("reassembly stream on edge %d of %d", e, nEdges)
+			}
 		}
 		o.Ops = loadOpStates(r)
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if o.Origin != AggregateOrigin && (o.Origin < 0 || o.Origin >= nodes) {
+			return nil, malformed("origin %d outside [0,%d)", o.Origin, nodes)
+		}
 	}
 	st.Server = loadOpStates(r)
-	return st
+	return st, r.Err()
 }
 
 func saveOpStates(w *wire.SnapshotWriter, ops []OpState) {
@@ -110,7 +121,7 @@ func saveOpStates(w *wire.SnapshotWriter, ops []OpState) {
 }
 
 func loadOpStates(r *wire.SnapshotReader) []OpState {
-	ops := make([]OpState, r.Uvarint())
+	ops := make([]OpState, r.Count())
 	for i := range ops {
 		ops[i].Op = int(r.Uvarint())
 		ops[i].Data = append([]byte(nil), r.Blob()...)
@@ -160,10 +171,7 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 		}
 		return o
 	}
-	eidx, err := edgeIndexes(cfg)
-	if err != nil {
-		return nil, err
-	}
+	eidx := edgeIndexes(cfg)
 	for _, sh := range d.shards {
 		srv, ok := sh.engine.(*compiledServer)
 		if !ok {
@@ -228,9 +236,6 @@ func (d *deliveryPlan) restoreState(cfg *Config, st *ShardState) error {
 			sh.sampler(o.Origin).SeekTo(netsim.NodeSeed(cfg.Seed, o.Origin), o.Draws)
 		}
 		for _, es := range o.Streams {
-			if es.Edge < 0 || es.Edge >= len(edges) {
-				return fmt.Errorf("runtime: snapshot reassembly stream on edge %d of %d", es.Edge, len(edges))
-			}
 			r, err := wire.NewSnapshotReader(es.Data)
 			if err != nil {
 				return err
@@ -288,172 +293,13 @@ func (d *deliveryPlan) restoreState(cfg *Config, st *ShardState) error {
 
 // edgeIndexes maps edge pointers to their dense index in Graph.Edges() —
 // the portable edge naming every serialized frame uses.
-func edgeIndexes(cfg *Config) (map[*dataflow.Edge]int, error) {
+func edgeIndexes(cfg *Config) map[*dataflow.Edge]int {
 	edges := cfg.Graph.Edges()
 	m := make(map[*dataflow.Edge]int, len(edges))
 	for i, e := range edges {
 		m[e] = i
 	}
-	return m, nil
-}
-
-// saveNodeSide serializes one node's simulator, sender sequence counters
-// and stateful operator states.
-func saveNodeSide(w *wire.SnapshotWriter, cfg *Config, prog *dataflow.Program,
-	eidx map[*dataflow.Edge]int, ns *nodeSim, inst *dataflow.Instance) error {
-	w.F64(ns.busyUntil)
-	w.F64(ns.busy)
-	w.Int(int64(ns.inputEvents))
-	w.Int(int64(ns.processedEvents))
-	type seqEntry struct {
-		edge int
-		seq  uint16
-	}
-	var seqs []seqEntry
-	for e, q := range ns.s.seqs {
-		seqs = append(seqs, seqEntry{edge: eidx[e], seq: q})
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i].edge < seqs[j].edge })
-	w.Uvarint(uint64(len(seqs)))
-	for _, se := range seqs {
-		w.Uvarint(uint64(se.edge))
-		w.U16(se.seq)
-	}
-	ids := prog.StatefulOps()
-	w.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		op := cfg.Graph.ByID(id)
-		data, err := saveOperatorState(op, inst.State(op))
-		if err != nil {
-			return err
-		}
-		w.Uvarint(uint64(id))
-		w.Blob(data)
-	}
-	return nil
-}
-
-func loadNodeSide(r *wire.SnapshotReader, cfg *Config, prog *dataflow.Program,
-	ns *nodeSim, inst *dataflow.Instance) error {
-	edges := cfg.Graph.Edges()
-	ns.busyUntil = r.F64()
-	ns.busy = r.F64()
-	ns.inputEvents = int(r.Int())
-	ns.processedEvents = int(r.Int())
-	nseq := int(r.Uvarint())
-	if nseq > 0 {
-		ns.s.seqs = make(map[*dataflow.Edge]uint16, nseq)
-		for i := 0; i < nseq; i++ {
-			ei := int(r.Uvarint())
-			q := r.U16()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if ei < 0 || ei >= len(edges) {
-				return fmt.Errorf("runtime: snapshot sender sequence on edge %d of %d", ei, len(edges))
-			}
-			ns.s.seqs[edges[ei]] = q
-		}
-	}
-	nops := int(r.Uvarint())
-	for i := 0; i < nops; i++ {
-		id := int(r.Uvarint())
-		data := r.Blob()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		op := cfg.Graph.ByID(id)
-		if op == nil || !prog.Included(op) {
-			return fmt.Errorf("runtime: snapshot node state for operator %d outside the node partition", id)
-		}
-		state, err := loadOperatorState(op, data)
-		if err != nil {
-			return err
-		}
-		inst.SetState(op, state)
-	}
-	return r.Err()
-}
-
-// saveAggregator serializes the cross-window reduce-aggregation state:
-// per edge (in deterministic first-seen order) the per-node round counts,
-// the flush watermark, the fragmentation sequence, and every pending
-// round's combined value.
-func saveAggregator(w *wire.SnapshotWriter, a *reduceAggregator, eidx map[*dataflow.Edge]int) error {
-	w.Uvarint(uint64(len(a.edgeOrder)))
-	for _, e := range a.edgeOrder {
-		w.Uvarint(uint64(eidx[e]))
-		counts := a.counts[e]
-		w.Uvarint(uint64(len(counts)))
-		for _, c := range counts {
-			w.Int(int64(c))
-		}
-		w.Int(int64(a.flushed[e]))
-		w.U16(a.seq[e])
-		pend := a.pending[e]
-		w.Uvarint(uint64(len(pend)))
-		for _, m := range pend {
-			if m == nil {
-				w.Bool(false)
-				continue
-			}
-			w.Bool(true)
-			w.F64(m.time)
-			enc, err := wire.Marshal(m.value)
-			if err != nil {
-				return fmt.Errorf("runtime: pending aggregate on %s→%s does not marshal: %w",
-					m.edge.From, m.edge.To, err)
-			}
-			w.Blob(enc)
-		}
-	}
-	return nil
-}
-
-func loadAggregator(r *wire.SnapshotReader, cfg *Config, a *reduceAggregator) error {
-	edges := cfg.Graph.Edges()
-	nEdges := int(r.Uvarint())
-	for i := 0; i < nEdges; i++ {
-		ei := int(r.Uvarint())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if ei < 0 || ei >= len(edges) {
-			return fmt.Errorf("runtime: snapshot aggregator edge %d of %d", ei, len(edges))
-		}
-		e := edges[ei]
-		a.edgeOrder = append(a.edgeOrder, e)
-		counts := make([]int, r.Uvarint())
-		for j := range counts {
-			counts[j] = int(r.Int())
-		}
-		a.counts[e] = counts
-		a.flushed[e] = int(r.Int())
-		a.seq[e] = r.U16()
-		npend := int(r.Uvarint())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		pend := make([]*message, 0, npend)
-		for j := 0; j < npend; j++ {
-			if !r.Bool() {
-				pend = append(pend, nil)
-				continue
-			}
-			t := r.F64()
-			blob := r.Blob()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			v, _, err := wire.Unmarshal(blob)
-			if err != nil {
-				return err
-			}
-			pend = append(pend, &message{time: t, nodeID: AggregateOrigin, edge: e, value: v})
-		}
-		a.pending[e] = pend
-	}
-	return r.Err()
+	return m
 }
 
 // Snapshot freezes the session at its current window boundary and returns
@@ -467,26 +313,10 @@ func loadAggregator(r *wire.SnapshotReader, cfg *Config, a *reduceAggregator) er
 // The resumed run's Results are byte-identical to the uninterrupted one
 // at any Shards/Workers/pipelining setting on either side.
 func (s *Session) Snapshot() ([]byte, error) {
-	if s.closed {
-		return nil, fmt.Errorf("runtime: Snapshot on a closed Session")
-	}
-	// Fail before committing to teardown: a hook-less graph leaves the
-	// session usable (the caller can still Close normally).
-	if err := checkSnapshotable(&s.cfg); err != nil {
+	if err := s.freeze("Session"); err != nil {
 		return nil, err
 	}
-	s.closed = true
-	defer func() {
-		for _, inst := range s.insts {
-			s.prog.ReleaseInstance(inst)
-		}
-		s.insts, s.nodes = nil, nil
-		for _, a := range s.arenas {
-			releaseArena(a)
-		}
-		s.arenas = nil
-		s.plan.close()
-	}()
+	defer s.release()
 	if s.pipe != nil {
 		// Joining the pipeline drains every in-flight delivery; afterwards
 		// all state is at the last flushed window boundary.
@@ -494,58 +324,157 @@ func (s *Session) Snapshot() ([]byte, error) {
 			return nil, err
 		}
 	}
-	cfg := &s.cfg
-	eidx, err := edgeIndexes(cfg)
+	eidx := edgeIndexes(&s.cfg)
+	snap, err := s.snap(eidx)
 	if err != nil {
 		return nil, err
 	}
-	w := wire.NewSnapshotWriter()
-	saveSessionHeader(w, cfg, s.window)
-
-	w.F64(s.lastTime)
-	w.F64(s.windowStart)
-	w.F64(s.lastSpan)
-	w.Int(int64(s.peakBuffered))
-	w.Int(int64(s.totalAir))
-	w.F64(s.ratioFirst)
-	w.F64(s.ratioAir)
-	w.Bool(s.ratioUniform)
-	w.Bool(s.sawWindow)
-
-	w.Int(int64(s.res.InputEvents))
-	w.Int(int64(s.res.ProcessedEvents))
-	w.Int(int64(s.res.MsgsSent))
-	w.Int(int64(s.res.MsgsReceived))
-	w.Int(int64(s.res.PayloadBytes))
-	w.Int(int64(s.res.DeliveredBytes))
-	w.Int(int64(s.res.ServerEmits))
-
-	for n := 0; n < cfg.Nodes; n++ {
-		if err := saveNodeSide(w, cfg, s.prog, eidx, s.nodes[n], s.insts[n]); err != nil {
+	for n := range snap.perNode {
+		if err := snapNodeSide(&snap.perNode[n], &s.cfg, s.prog, eidx, s.nodes[n], s.insts[n]); err != nil {
 			return nil, err
 		}
-		buf := s.buf[n]
-		w.Uvarint(uint64(len(buf)))
-		for _, a := range buf {
-			w.F64(a.t)
-			w.Uvarint(uint64(a.src.ID()))
-			enc, err := wire.Marshal(a.v)
-			if err != nil {
-				return nil, fmt.Errorf("runtime: buffered arrival at node %d does not marshal: %w", n, err)
-			}
-			w.Blob(enc)
-		}
 	}
-
-	if err := saveAggregator(w, s.agg, eidx); err != nil {
+	if snap.shard, err = s.plan.snapshotState(&s.cfg); err != nil {
 		return nil, err
 	}
-	st, err := s.plan.snapshotState(cfg)
+	return encodeSessionSnap(snap), nil
+}
+
+// ResumeSession rebuilds a Session from a Snapshot. cfg must describe the
+// same run (graph structure, cut, platform, nodes, duration, seed,
+// window); the placement knobs — Shards, Workers — are free, because the
+// snapshot's layout is placement-independent.
+func ResumeSession(cfg Config, data []byte) (*Session, error) {
+	if err := checkSnapshotable(&cfg); err != nil {
+		return nil, err
+	}
+	s, err := NewSession(cfg)
 	if err != nil {
 		return nil, err
 	}
-	st.save(w)
-	return w.Bytes(), nil
+	snap, err := s.resume(data)
+	for n := 0; err == nil && n < len(snap.perNode); n++ {
+		err = applyNodeSnap(&s.cfg, s.prog, &snap.perNode[n], s.nodes[n], s.insts[n])
+	}
+	if err == nil {
+		err = s.plan.restoreState(&s.cfg, snap.shard)
+	}
+	if err != nil {
+		s.abort()
+		return nil, err
+	}
+	return s, nil
+}
+
+// snapNodeSide freezes one node's simulator, sender sequence counters and
+// stateful operator states into ns (its buffered arrivals belong to the
+// coordinator).
+func snapNodeSide(ns *nodeSnap, cfg *Config, prog *dataflow.Program, eidx map[*dataflow.Edge]int,
+	sim *nodeSim, inst *dataflow.Instance) error {
+	ns.busyUntil, ns.busy = sim.busyUntil, sim.busy
+	ns.inputEvents, ns.processedEvents = int64(sim.inputEvents), int64(sim.processedEvents)
+	for e, q := range sim.s.seqs {
+		ns.seqs = append(ns.seqs, seqSnap{edge: eidx[e], seq: q})
+	}
+	sort.Slice(ns.seqs, func(i, j int) bool { return ns.seqs[i].edge < ns.seqs[j].edge })
+	for _, id := range prog.StatefulOps() {
+		op := cfg.Graph.ByID(id)
+		data, err := saveOperatorState(op, inst.State(op))
+		if err != nil {
+			return err
+		}
+		ns.ops = append(ns.ops, OpState{Op: id, Data: data})
+	}
+	return nil
+}
+
+// applyNodeSnap loads a decoded node side into a live simulator/instance
+// pair.
+func applyNodeSnap(cfg *Config, prog *dataflow.Program, snap *nodeSnap, ns *nodeSim, inst *dataflow.Instance) error {
+	edges := cfg.Graph.Edges()
+	ns.busyUntil = snap.busyUntil
+	ns.busy = snap.busy
+	ns.inputEvents = int(snap.inputEvents)
+	ns.processedEvents = int(snap.processedEvents)
+	if len(snap.seqs) > 0 {
+		ns.s.seqs = make(map[*dataflow.Edge]uint16, len(snap.seqs))
+		for _, se := range snap.seqs {
+			ns.s.seqs[edges[se.edge]] = se.seq
+		}
+	}
+	for _, os := range snap.ops {
+		op := cfg.Graph.ByID(os.Op)
+		if op == nil || !prog.Included(op) {
+			return fmt.Errorf("runtime: snapshot node state for operator %d outside the node partition", os.Op)
+		}
+		state, err := loadOperatorState(op, os.Data)
+		if err != nil {
+			return err
+		}
+		inst.SetState(op, state)
+	}
+	return nil
+}
+
+// snap freezes the cross-window reduce-aggregation state: per edge (in
+// deterministic first-seen order) the per-node round counts, the flush
+// watermark, the fragmentation sequence, and every pending round's
+// combined value.
+func (a *reduceAggregator) snap(eidx map[*dataflow.Edge]int) ([]aggEdgeSnap, error) {
+	snaps := make([]aggEdgeSnap, 0, len(a.edgeOrder))
+	for _, e := range a.edgeOrder {
+		ae := aggEdgeSnap{edge: eidx[e], flushed: int64(a.flushed[e]), seq: a.seq[e]}
+		for _, c := range a.counts[e] {
+			ae.counts = append(ae.counts, int64(c))
+		}
+		for _, m := range a.pending[e] {
+			if m == nil {
+				ae.pending = append(ae.pending, pendSnap{})
+				continue
+			}
+			enc, err := wire.Marshal(m.value)
+			if err != nil {
+				return nil, fmt.Errorf("runtime: pending aggregate on %s→%s does not marshal: %w",
+					m.edge.From, m.edge.To, err)
+			}
+			ae.pending = append(ae.pending, pendSnap{present: true, time: m.time, blob: enc})
+		}
+		snaps = append(snaps, ae)
+	}
+	return snaps, nil
+}
+
+// restoreAggFromSnap loads decoded aggregator state into a live
+// reduceAggregator.
+func restoreAggFromSnap(cfg *Config, a *reduceAggregator, snaps []aggEdgeSnap) error {
+	edges := cfg.Graph.Edges()
+	for i := range snaps {
+		ae := &snaps[i]
+		e := edges[ae.edge]
+		a.edgeOrder = append(a.edgeOrder, e)
+		counts := make([]int, len(ae.counts))
+		for j, c := range ae.counts {
+			counts[j] = int(c)
+		}
+		a.counts[e] = counts
+		a.flushed[e] = int(ae.flushed)
+		a.seq[e] = ae.seq
+		pend := make([]*message, 0, len(ae.pending))
+		for j := range ae.pending {
+			p := &ae.pending[j]
+			if !p.present {
+				pend = append(pend, nil)
+				continue
+			}
+			v, _, err := wire.Unmarshal(p.blob)
+			if err != nil {
+				return err
+			}
+			pend = append(pend, &message{time: p.time, nodeID: AggregateOrigin, edge: e, value: v})
+		}
+		a.pending[e] = pend
+	}
+	return nil
 }
 
 // MigrateSnapshot rewrites a Session snapshot taken on one cut into a
@@ -719,8 +648,28 @@ func MigrateSnapshot(g *dataflow.Graph, data []byte, newOnNode map[int]bool) ([]
 	return encodeSessionSnap(snap), nil
 }
 
-// sessionSnap is a Session snapshot held fully decoded — the working form
-// MigrateSnapshot transforms. Field order mirrors Snapshot's encoding.
+// The snapshot codec. Every snapshot and checkpoint passes through the
+// struct forms below, decoded in full before any of it is applied:
+// writers fill them (the coordinator core its own fields, the drivers
+// node sides and delivery state) and encode through encodeSessionSnap or
+// encodeHostSnap, both built on encodeNodeSide and ShardState.save;
+// readers decode through decodeSessionSnap or decodeHostSnap and apply
+// through the coordinator's restore, applyNodeSnap, restoreAggFromSnap
+// and deliveryPlan.restoreState. Every count the decoders read is bounded
+// by the bytes left and every index is range-checked, so a truncated or
+// hostile blob fails with wire.ErrMalformedSnapshot rather than sizing an
+// allocation or indexing out of range.
+//
+// A session snapshot is, in order: the run identity (graph structural
+// hash, the sorted on-node operator IDs, platform, nodes, duration, seed,
+// window), the clock and ratio bookkeeping, the seven carried Result
+// counters, one node side plus its buffered arrivals per node, the
+// pending reduce rounds per aggregated edge, and the ShardState. A host
+// blob is the host's send counters, its origins each with a node side,
+// and its ShardState.
+
+// sessionSnap is a session snapshot held fully decoded. Field order
+// mirrors the encoding.
 type sessionSnap struct {
 	hash     string
 	onNode   []int
@@ -734,7 +683,7 @@ type sessionSnap struct {
 	peakBuffered, totalAir          int64
 	ratioFirst, ratioAir            float64
 	ratioUniform, sawWindow         bool
-	res                             [7]int64
+	res                             Result // the integer counters only
 
 	perNode []nodeSnap
 	agg     []aggEdgeSnap
@@ -774,187 +723,56 @@ type pendSnap struct {
 	blob    []byte
 }
 
-// decodeNodeSide reads one node side (the saveNodeSide layout) into its
-// decoded form.
-func decodeNodeSide(r *wire.SnapshotReader, nEdges int) (nodeSnap, error) {
-	var ns nodeSnap
-	ns.busyUntil = r.F64()
-	ns.busy = r.F64()
-	ns.inputEvents = r.Int()
-	ns.processedEvents = r.Int()
-	ns.seqs = make([]seqSnap, r.Uvarint())
-	for i := range ns.seqs {
-		ns.seqs[i].edge = int(r.Uvarint())
-		ns.seqs[i].seq = r.U16()
-		if err := r.Err(); err != nil {
-			return ns, err
-		}
-		if ns.seqs[i].edge < 0 || ns.seqs[i].edge >= nEdges {
-			return ns, fmt.Errorf("runtime: snapshot sender sequence on edge %d of %d", ns.seqs[i].edge, nEdges)
-		}
-	}
-	ns.ops = make([]OpState, r.Uvarint())
-	for i := range ns.ops {
-		ns.ops[i].Op = int(r.Uvarint())
-		ns.ops[i].Data = append([]byte(nil), r.Blob()...)
-	}
-	return ns, r.Err()
+// hostSnap is one shard host's frozen contribution: its send-side
+// counters, its per-origin node sides, and its delivery plan's state.
+type hostSnap struct {
+	msgsSent     int64
+	payloadBytes int64
+	origins      []int
+	sides        map[int]nodeSnap
+	shard        *ShardState
 }
 
-// encodeNodeSide writes one node side in the saveNodeSide layout.
-func encodeNodeSide(w *wire.SnapshotWriter, ns *nodeSnap) {
-	w.F64(ns.busyUntil)
-	w.F64(ns.busy)
-	w.Int(ns.inputEvents)
-	w.Int(ns.processedEvents)
-	w.Uvarint(uint64(len(ns.seqs)))
-	for _, se := range ns.seqs {
-		w.Uvarint(uint64(se.edge))
-		w.U16(se.seq)
-	}
-	w.Uvarint(uint64(len(ns.ops)))
-	for _, os := range ns.ops {
-		w.Uvarint(uint64(os.Op))
-		w.Blob(os.Data)
-	}
+// malformed reports a structurally invalid snapshot.
+func malformed(format string, args ...any) error {
+	return fmt.Errorf("runtime: snapshot "+format+": %w", append(args, wire.ErrMalformedSnapshot)...)
 }
 
-// applyNodeSnap loads a decoded node side into a live simulator/instance
-// pair — the struct-form twin of loadNodeSide.
-func applyNodeSnap(cfg *Config, prog *dataflow.Program, snap *nodeSnap, ns *nodeSim, inst *dataflow.Instance) error {
-	edges := cfg.Graph.Edges()
-	ns.busyUntil = snap.busyUntil
-	ns.busy = snap.busy
-	ns.inputEvents = int(snap.inputEvents)
-	ns.processedEvents = int(snap.processedEvents)
-	if len(snap.seqs) > 0 {
-		ns.s.seqs = make(map[*dataflow.Edge]uint16, len(snap.seqs))
-		for _, se := range snap.seqs {
-			if se.edge < 0 || se.edge >= len(edges) {
-				return fmt.Errorf("runtime: snapshot sender sequence on edge %d of %d", se.edge, len(edges))
-			}
-			ns.s.seqs[edges[se.edge]] = se.seq
+// counters lists the Result's carried integer counters in snapshot order.
+func (r *Result) counters() [7]*int {
+	return [7]*int{&r.InputEvents, &r.ProcessedEvents, &r.MsgsSent, &r.MsgsReceived,
+		&r.PayloadBytes, &r.DeliveredBytes, &r.ServerEmits}
+}
+
+// check validates a decoded snapshot against a run Config: the cut, the
+// platform and the simulation parameters that shape every downstream
+// byte (the graph is pinned at decode).
+func (snap *sessionSnap) check(cfg *Config, window float64) error {
+	saved := make(map[int]bool, len(snap.onNode))
+	for _, id := range snap.onNode {
+		saved[id] = true
+	}
+	for _, op := range cfg.Graph.Operators() {
+		if cfg.OnNode[op.ID()] != saved[op.ID()] {
+			return fmt.Errorf("runtime: snapshot is of a different cut (operator %s changed sides)", op)
 		}
 	}
-	for _, os := range snap.ops {
-		op := cfg.Graph.ByID(os.Op)
-		if op == nil || !prog.Included(op) {
-			return fmt.Errorf("runtime: snapshot node state for operator %d outside the node partition", os.Op)
-		}
-		state, err := loadOperatorState(op, os.Data)
-		if err != nil {
-			return err
-		}
-		inst.SetState(op, state)
+	if snap.platform != cfg.Platform.Name {
+		return fmt.Errorf("runtime: snapshot platform %q, config platform %q", snap.platform, cfg.Platform.Name)
+	}
+	if snap.nodes != cfg.Nodes {
+		return fmt.Errorf("runtime: snapshot has %d nodes, config %d", snap.nodes, cfg.Nodes)
+	}
+	if snap.duration != cfg.Duration {
+		return fmt.Errorf("runtime: snapshot duration %g, config %g", snap.duration, cfg.Duration)
+	}
+	if snap.seed != cfg.Seed {
+		return fmt.Errorf("runtime: snapshot seed %d, config %d", snap.seed, cfg.Seed)
+	}
+	if snap.window != window {
+		return fmt.Errorf("runtime: snapshot window %g, config %g", snap.window, window)
 	}
 	return nil
-}
-
-func decodeSessionSnap(g *dataflow.Graph, data []byte) (*sessionSnap, error) {
-	r, err := wire.NewSnapshotReader(data)
-	if err != nil {
-		return nil, err
-	}
-	snap := &sessionSnap{}
-	snap.hash = r.String()
-	if snap.hash != g.StructuralHash() {
-		return nil, fmt.Errorf("runtime: snapshot is of a different graph (structural hash mismatch)")
-	}
-	snap.onNode = make([]int, r.Uvarint())
-	for i := range snap.onNode {
-		snap.onNode[i] = int(r.Uvarint())
-	}
-	snap.platform = r.String()
-	snap.nodes = int(r.Int())
-	snap.duration = r.F64()
-	snap.seed = r.Int()
-	snap.window = r.F64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if snap.nodes <= 0 || snap.nodes > 1<<20 {
-		return nil, fmt.Errorf("runtime: snapshot node count %d", snap.nodes)
-	}
-
-	snap.lastTime = r.F64()
-	snap.windowStart = r.F64()
-	snap.lastSpan = r.F64()
-	snap.peakBuffered = r.Int()
-	snap.totalAir = r.Int()
-	snap.ratioFirst = r.F64()
-	snap.ratioAir = r.F64()
-	snap.ratioUniform = r.Bool()
-	snap.sawWindow = r.Bool()
-	for i := range snap.res {
-		snap.res[i] = r.Int()
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-
-	nEdges := len(g.Edges())
-	snap.perNode = make([]nodeSnap, snap.nodes)
-	for n := range snap.perNode {
-		side, err := decodeNodeSide(r, nEdges)
-		if err != nil {
-			return nil, err
-		}
-		snap.perNode[n] = side
-		ns := &snap.perNode[n]
-		ns.arrivals = make([]arrivalSnap, r.Uvarint())
-		for i := range ns.arrivals {
-			ns.arrivals[i].t = r.F64()
-			ns.arrivals[i].src = int(r.Uvarint())
-			ns.arrivals[i].blob = append([]byte(nil), r.Blob()...)
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-	}
-
-	nAgg := int(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	snap.agg = make([]aggEdgeSnap, nAgg)
-	for i := range snap.agg {
-		ae := &snap.agg[i]
-		ae.edge = int(r.Uvarint())
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if ae.edge < 0 || ae.edge >= nEdges {
-			return nil, fmt.Errorf("runtime: snapshot aggregator edge %d of %d", ae.edge, nEdges)
-		}
-		ae.counts = make([]int64, r.Uvarint())
-		for j := range ae.counts {
-			ae.counts[j] = r.Int()
-		}
-		ae.flushed = r.Int()
-		ae.seq = r.U16()
-		ae.pending = make([]pendSnap, r.Uvarint())
-		for j := range ae.pending {
-			p := &ae.pending[j]
-			p.present = r.Bool()
-			if !p.present {
-				continue
-			}
-			p.time = r.F64()
-			p.blob = append([]byte(nil), r.Blob()...)
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-	}
-
-	snap.shard = loadShardState(r)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if !r.Done() {
-		return nil, fmt.Errorf("runtime: trailing bytes after session snapshot")
-	}
-	return snap, nil
 }
 
 func encodeSessionSnap(snap *sessionSnap) []byte {
@@ -979,8 +797,8 @@ func encodeSessionSnap(snap *sessionSnap) []byte {
 	w.F64(snap.ratioAir)
 	w.Bool(snap.ratioUniform)
 	w.Bool(snap.sawWindow)
-	for _, v := range snap.res {
-		w.Int(v)
+	for _, c := range snap.res.counters() {
+		w.Int(int64(*c))
 	}
 
 	for n := range snap.perNode {
@@ -1006,13 +824,11 @@ func encodeSessionSnap(snap *sessionSnap) []byte {
 		w.U16(ae.seq)
 		w.Uvarint(uint64(len(ae.pending)))
 		for _, p := range ae.pending {
-			if !p.present {
-				w.Bool(false)
-				continue
+			w.Bool(p.present)
+			if p.present {
+				w.F64(p.time)
+				w.Blob(p.blob)
 			}
-			w.Bool(true)
-			w.F64(p.time)
-			w.Blob(p.blob)
 		}
 	}
 
@@ -1020,154 +836,187 @@ func encodeSessionSnap(snap *sessionSnap) []byte {
 	return w.Bytes()
 }
 
-// saveSessionHeader pins the run identity a snapshot is only valid for:
-// the graph's structural hash, the cut, the platform, and the simulation
-// parameters that shape every downstream byte.
-func saveSessionHeader(w *wire.SnapshotWriter, cfg *Config, window float64) {
-	w.String(cfg.Graph.StructuralHash())
-	var onNode []int
-	for _, op := range cfg.Graph.Operators() {
-		if cfg.OnNode[op.ID()] {
-			onNode = append(onNode, op.ID())
-		}
-	}
-	sort.Ints(onNode)
-	w.Uvarint(uint64(len(onNode)))
-	for _, id := range onNode {
-		w.Uvarint(uint64(id))
-	}
-	w.String(cfg.Platform.Name)
-	w.Int(int64(cfg.Nodes))
-	w.F64(cfg.Duration)
-	w.Int(cfg.Seed)
-	w.F64(window)
-}
-
-func checkSessionHeader(r *wire.SnapshotReader, cfg *Config, window float64) error {
-	if h := r.String(); h != cfg.Graph.StructuralHash() {
-		return fmt.Errorf("runtime: snapshot is of a different graph (structural hash mismatch)")
-	}
-	n := int(r.Uvarint())
-	saved := make(map[int]bool, n)
-	for i := 0; i < n; i++ {
-		saved[int(r.Uvarint())] = true
-	}
-	for _, op := range cfg.Graph.Operators() {
-		if cfg.OnNode[op.ID()] != saved[op.ID()] {
-			return fmt.Errorf("runtime: snapshot is of a different cut (operator %s changed sides)", op)
-		}
-	}
-	if p := r.String(); p != cfg.Platform.Name {
-		return fmt.Errorf("runtime: snapshot platform %q, config platform %q", p, cfg.Platform.Name)
-	}
-	if v := int(r.Int()); v != cfg.Nodes {
-		return fmt.Errorf("runtime: snapshot has %d nodes, config %d", v, cfg.Nodes)
-	}
-	if v := r.F64(); v != cfg.Duration {
-		return fmt.Errorf("runtime: snapshot duration %g, config %g", v, cfg.Duration)
-	}
-	if v := r.Int(); v != cfg.Seed {
-		return fmt.Errorf("runtime: snapshot seed %d, config %d", v, cfg.Seed)
-	}
-	if v := r.F64(); v != window {
-		return fmt.Errorf("runtime: snapshot window %g, config %g", v, window)
-	}
-	return r.Err()
-}
-
-// ResumeSession rebuilds a Session from a Snapshot. cfg must describe the
-// same run (graph structure, cut, platform, nodes, duration, seed,
-// window); the placement knobs — Shards, Workers, NoPipeline — are free,
-// because the snapshot's layout is placement-independent.
-func ResumeSession(cfg Config, data []byte) (*Session, error) {
-	if err := checkSnapshotable(&cfg); err != nil {
-		return nil, err
-	}
-	s, err := NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.restore(data); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-func (s *Session) restore(data []byte) error {
-	cfg := &s.cfg
+func decodeSessionSnap(g *dataflow.Graph, data []byte) (*sessionSnap, error) {
 	r, err := wire.NewSnapshotReader(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := checkSessionHeader(r, cfg, s.window); err != nil {
-		return err
+	snap := &sessionSnap{hash: r.String()}
+	if snap.hash != g.StructuralHash() {
+		return nil, fmt.Errorf("runtime: snapshot is of a different graph (structural hash mismatch)")
 	}
-
-	s.lastTime = r.F64()
-	s.windowStart = r.F64()
-	s.lastSpan = r.F64()
-	s.peakBuffered = int(r.Int())
-	s.totalAir = int(r.Int())
-	s.ratioFirst = r.F64()
-	s.ratioAir = r.F64()
-	s.ratioUniform = r.Bool()
-	s.sawWindow = r.Bool()
-
-	s.res.InputEvents = int(r.Int())
-	s.res.ProcessedEvents = int(r.Int())
-	s.res.MsgsSent = int(r.Int())
-	s.res.MsgsReceived = int(r.Int())
-	s.res.PayloadBytes = int(r.Int())
-	s.res.DeliveredBytes = int(r.Int())
-	s.res.ServerEmits = int(r.Int())
+	snap.onNode = make([]int, r.Count())
+	for i := range snap.onNode {
+		snap.onNode[i] = int(r.Uvarint())
+	}
+	snap.platform = r.String()
+	snap.nodes = int(r.Int())
+	snap.duration, snap.seed, snap.window = r.F64(), r.Int(), r.F64()
 	if err := r.Err(); err != nil {
-		return err
+		return nil, err
+	}
+	if snap.nodes <= 0 || snap.nodes > 1<<20 {
+		return nil, malformed("node count %d", snap.nodes)
 	}
 
-	for n := 0; n < cfg.Nodes; n++ {
-		if err := loadNodeSide(r, cfg, s.prog, s.nodes[n], s.insts[n]); err != nil {
-			return err
-		}
-		nbuf := int(r.Uvarint())
-		for i := 0; i < nbuf; i++ {
-			t := r.F64()
-			srcID := int(r.Uvarint())
-			blob := r.Blob()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			src := cfg.Graph.ByID(srcID)
-			if src == nil || !s.sources[src] {
-				return fmt.Errorf("runtime: snapshot buffered arrival at non-source operator %d", srcID)
-			}
-			v, _, err := wire.Unmarshal(blob)
-			if err != nil {
-				return err
-			}
-			s.buf[n] = append(s.buf[n], arrival{t: t, src: src, v: v})
-			s.buffered++
-		}
-	}
-	if s.buffered > s.peakBuffered {
-		s.peakBuffered = s.buffered
+	snap.lastTime, snap.windowStart, snap.lastSpan = r.F64(), r.F64(), r.F64()
+	snap.peakBuffered, snap.totalAir = r.Int(), r.Int()
+	snap.ratioFirst, snap.ratioAir = r.F64(), r.F64()
+	snap.ratioUniform, snap.sawWindow = r.Bool(), r.Bool()
+	for _, c := range snap.res.counters() {
+		*c = int(r.Int())
 	}
 
-	if err := loadAggregator(r, cfg, s.agg); err != nil {
-		return err
+	// Node sides append one by one: the node count is not a byte-bounded
+	// length, so a truncated blob must fail before the slice grows.
+	nEdges := len(g.Edges())
+	for n := 0; n < snap.nodes; n++ {
+		ns, err := decodeNodeSide(r, nEdges)
+		if err != nil {
+			return nil, err
+		}
+		ns.arrivals = make([]arrivalSnap, r.Count())
+		for i := range ns.arrivals {
+			a := &ns.arrivals[i]
+			a.t = r.F64()
+			a.src = int(r.Uvarint())
+			a.blob = append([]byte(nil), r.Blob()...)
+		}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		snap.perNode = append(snap.perNode, ns)
 	}
-	st := loadShardState(r)
-	if err := r.Err(); err != nil {
-		return err
+
+	snap.agg = make([]aggEdgeSnap, r.Count())
+	for i := range snap.agg {
+		ae := &snap.agg[i]
+		ae.edge = int(r.Uvarint())
+		ae.counts = make([]int64, r.Count())
+		for j := range ae.counts {
+			ae.counts[j] = r.Int()
+		}
+		ae.flushed = r.Int()
+		ae.seq = r.U16()
+		ae.pending = make([]pendSnap, r.Count())
+		for j := range ae.pending {
+			p := &ae.pending[j]
+			if p.present = r.Bool(); p.present {
+				p.time = r.F64()
+				p.blob = append([]byte(nil), r.Blob()...)
+			}
+		}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if ae.edge < 0 || ae.edge >= nEdges {
+			return nil, malformed("aggregator edge %d of %d", ae.edge, nEdges)
+		}
+		// Rounds [flushed, flushed+len(pending)) are pending, and a node
+		// that has emitted c rounds contributed to every round below c.
+		if len(ae.counts) != snap.nodes || ae.flushed < 0 {
+			return nil, malformed("aggregator edge %d: %d round counts for %d nodes, %d rounds flushed",
+				ae.edge, len(ae.counts), snap.nodes, ae.flushed)
+		}
+		for _, c := range ae.counts {
+			if c < 0 || c-ae.flushed > int64(len(ae.pending)) {
+				return nil, malformed("aggregator edge %d: node round count %d outside [0,%d]",
+					ae.edge, c, ae.flushed+int64(len(ae.pending)))
+			}
+		}
+	}
+
+	if snap.shard, err = loadShardState(r, snap.nodes, nEdges); err != nil {
+		return nil, err
 	}
 	if !r.Done() {
-		return fmt.Errorf("runtime: trailing bytes after session snapshot")
+		return nil, malformed("has trailing bytes")
 	}
-	// The snapshot's carried delivery counters fold into the session's
-	// partial Result now; plan.collect adds only post-resume deltas.
-	s.res.MsgsReceived += st.MsgsReceived
-	s.res.DeliveredBytes += st.DeliveredBytes
-	s.res.ServerEmits += st.ServerEmits
-	st.MsgsReceived, st.DeliveredBytes, st.ServerEmits = 0, 0, 0
-	return s.plan.restoreState(cfg, st)
+	return snap, nil
+}
+
+// encodeNodeSide writes one node side: the simulator's clock and
+// counters, the sender sequence counters, and the stateful node
+// operators' states.
+func encodeNodeSide(w *wire.SnapshotWriter, ns *nodeSnap) {
+	w.F64(ns.busyUntil)
+	w.F64(ns.busy)
+	w.Int(ns.inputEvents)
+	w.Int(ns.processedEvents)
+	w.Uvarint(uint64(len(ns.seqs)))
+	for _, se := range ns.seqs {
+		w.Uvarint(uint64(se.edge))
+		w.U16(se.seq)
+	}
+	saveOpStates(w, ns.ops)
+}
+
+func decodeNodeSide(r *wire.SnapshotReader, nEdges int) (nodeSnap, error) {
+	var ns nodeSnap
+	ns.busyUntil = r.F64()
+	ns.busy = r.F64()
+	ns.inputEvents = r.Int()
+	ns.processedEvents = r.Int()
+	ns.seqs = make([]seqSnap, r.Count())
+	for i := range ns.seqs {
+		se := &ns.seqs[i]
+		se.edge = int(r.Uvarint())
+		se.seq = r.U16()
+		if err := r.Err(); err != nil {
+			return ns, err
+		}
+		if se.edge < 0 || se.edge >= nEdges {
+			return ns, malformed("sender sequence on edge %d of %d", se.edge, nEdges)
+		}
+	}
+	ns.ops = loadOpStates(r)
+	return ns, r.Err()
+}
+
+func encodeHostSnap(hs *hostSnap) []byte {
+	w := wire.NewSnapshotWriter()
+	w.Int(hs.msgsSent)
+	w.Int(hs.payloadBytes)
+	w.Uvarint(uint64(len(hs.origins)))
+	for _, n := range hs.origins {
+		w.Int(int64(n))
+		side := hs.sides[n]
+		encodeNodeSide(w, &side)
+	}
+	hs.shard.save(w)
+	return w.Bytes()
+}
+
+func decodeHostSnap(cfg *Config, data []byte) (*hostSnap, error) {
+	r, err := wire.NewSnapshotReader(data)
+	if err != nil {
+		return nil, err
+	}
+	hs := &hostSnap{sides: make(map[int]nodeSnap)}
+	hs.msgsSent = r.Int()
+	hs.payloadBytes = r.Int()
+	nOrigins := r.Count()
+	nEdges := len(cfg.Graph.Edges())
+	for i := 0; i < nOrigins; i++ {
+		n := int(r.Int())
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if n < 0 || n >= cfg.Nodes {
+			return nil, malformed("host origin %d outside [0,%d)", n, cfg.Nodes)
+		}
+		side, err := decodeNodeSide(r, nEdges)
+		if err != nil {
+			return nil, err
+		}
+		hs.origins = append(hs.origins, n)
+		hs.sides[n] = side
+	}
+	if hs.shard, err = loadShardState(r, cfg.Nodes, nEdges); err != nil {
+		return nil, err
+	}
+	if !r.Done() {
+		return nil, malformed("has trailing bytes after the host state")
+	}
+	return hs, nil
 }

@@ -3,13 +3,11 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
 	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
-	"wishbone/internal/netsim"
 	"wishbone/internal/profile"
 )
 
@@ -125,19 +123,16 @@ func (s *inputStream) Next() (Arrival, bool) {
 // request body; Run drives one from Config.ArrivalSource.
 //
 // A Session requires the compiled engine and accepts the same
-// Config.Shards/Workers knobs as the batch path.
+// Config.Shards/Workers knobs as the batch path. Offer, PeakBuffered and
+// the OnWindow hook come from the coordinator core it shares with
+// DistSession (coordinator.go); the Session adds the in-process node
+// phase, the sharded delivery and the pipeline.
 type Session struct {
-	cfg     Config
-	ch      netsim.Channel
-	plan    *deliveryPlan
-	agg     *reduceAggregator
-	prog    *dataflow.Program
-	insts   []*dataflow.Instance
-	nodes   []*nodeSim
-	buf     [][]arrival
-	sources map[*dataflow.Operator]bool
-	window  float64
-	scen    *scenarioState
+	coordinator
+	plan  *deliveryPlan
+	prog  *dataflow.Program
+	insts []*dataflow.Instance
+	nodes []*nodeSim
 
 	// pipe is non-nil when the session pipelines its stages (delivery of
 	// window w overlapping simulation of window w+1 — see pipeline.go);
@@ -158,28 +153,8 @@ type Session struct {
 	// arrival. Rotated once per flushed window.
 	ingest ingestArena
 
-	// OnWindow, when set, observes every priced window as it flushes —
-	// the live load signal the control loop (control.go) folds into its
-	// online profile. It always runs on the Offer caller's goroutine
-	// (window pricing is a coordinator-side step even when delivery is
-	// pipelined), so implementations need no locking against the session.
-	OnWindow func(WindowObservation)
-
-	maxBuffered  int
-	started      time.Time
-	stageStart   time.Time
-	windowStart  float64
-	lastSpan     float64
-	lastTime     float64
-	buffered     int
-	peakBuffered int
-	totalAir     int
-	ratioFirst   float64
-	ratioAir     float64
-	ratioUniform bool
-	sawWindow    bool
-	res          Result
-	closed       bool
+	started    time.Time
+	stageStart time.Time
 }
 
 // NewSession validates cfg and builds the persistent node and server
@@ -192,47 +167,20 @@ func NewSession(cfg Config) (*Session, error) {
 	if cfg.Engine == EngineLegacy {
 		return nil, fmt.Errorf("runtime: streaming ingestion requires the compiled engine")
 	}
-	if math.IsNaN(cfg.WindowSeconds) || math.IsInf(cfg.WindowSeconds, 0) || cfg.WindowSeconds < 0 {
-		return nil, fmt.Errorf("runtime: bad WindowSeconds %g", cfg.WindowSeconds)
-	}
-	prog, err := resolveNodeProgram(&cfg)
-	if err != nil {
+	s := &Session{started: time.Now()}
+	if err := s.init(cfg, s.flushWindow); err != nil {
 		return nil, err
 	}
-	s := &Session{
-		cfg:          cfg,
-		ch:           netsim.ChannelFor(cfg.Platform),
-		agg:          newReduceAggregator(cfg.Nodes),
-		prog:         prog,
-		buf:          make([][]arrival, cfg.Nodes),
-		window:       cfg.WindowSeconds,
-		ratioUniform: true,
-		maxBuffered:  cfg.MaxBufferedArrivals,
-		started:      time.Now(),
-	}
-	if s.maxBuffered <= 0 || s.maxBuffered > maxWindowArrivals {
-		s.maxBuffered = maxWindowArrivals
-	}
-	if s.window <= 0 {
-		s.window = 10
-	}
-	if s.window > cfg.Duration {
-		s.window = cfg.Duration
-	}
-	plan, err := newDeliveryPlan(&s.cfg)
-	if err != nil {
+	var err error
+	if s.prog, err = resolveNodeProgram(&s.cfg); err != nil {
 		return nil, err
 	}
-	s.plan = plan
-	s.lastSpan = s.window
-	s.sources = make(map[*dataflow.Operator]bool)
-	for _, src := range cfg.Graph.Sources() {
-		s.sources[src] = true
+	if s.plan, err = newDeliveryPlan(&s.cfg); err != nil {
+		return nil, err
 	}
-	s.scen = newScenarioState(&s.cfg)
 	passthrough := !cfg.NoBatch && passthroughPartition(&s.cfg)
 	for n := 0; n < cfg.Nodes; n++ {
-		inst := prog.AcquireInstance(n)
+		inst := s.prog.AcquireInstance(n)
 		counter := &cost.Counter{}
 		inst.SetCounter(counter)
 		snd := &sender{cfg: &s.cfg, nodeID: n}
@@ -244,12 +192,12 @@ func NewSession(cfg Config) (*Session, error) {
 		}
 		s.nodes = append(s.nodes, ns)
 	}
-	if !cfg.NoPipeline && poolWorkers(&s.cfg, 2) > 1 {
-		// Pipelined by default whenever the worker budget allows true
-		// concurrency (an explicit Workers=1, or a single-core host with
-		// Workers unset, runs phased). Byte-identity between the two
-		// modes is pinned by the Pipelined parity tests, so the choice is
-		// purely about overlap.
+	if poolWorkers(&s.cfg, 2) > 1 {
+		// Pipelined whenever the worker budget allows true concurrency (an
+		// explicit Workers=1, or a single-core host with Workers unset,
+		// runs phased). Byte-identity between the two modes is pinned by
+		// the Pipelined parity tests, so the choice is purely about
+		// overlap.
 		s.pipe = newPipe(s)
 	} else {
 		s.arenas = make([]*fragArena, cfg.Nodes+1)
@@ -265,31 +213,6 @@ func NewSession(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Offer feeds one arrival. Arrivals must be globally nondecreasing in
-// time across nodes (per-node interleaving is free); crossing a window
-// boundary flushes the completed window through the node instances and
-// server shards. Arrivals at or beyond cfg.Duration are ignored, like the
-// batch path's arrival builder.
-func (s *Session) Offer(nodeID int, a Arrival) error {
-	if err := s.admit(nodeID, a.Source, a.Time); err != nil {
-		return err
-	}
-	if a.Time >= s.cfg.Duration {
-		return nil
-	}
-	if err := s.advance(a.Time); err != nil {
-		return err
-	}
-	if s.scen.drops(nodeID, a.Time) {
-		// The node is crashed under the failure scenario: the arrival
-		// vanishes, but its time already advanced the window clock so
-		// windows keep flushing (and the control loop keeps observing)
-		// while nodes are down.
-		return nil
-	}
-	return s.push(nodeID, arrival{t: a.Time, src: a.Source, v: a.Value})
-}
-
 // OfferRaw feeds one arrival whose value is still raw JSON, decoding it
 // into the session's ingest arena — this is the zero-copy path behind
 // /v1/simulate/stream, which would otherwise allocate a fresh value per
@@ -300,103 +223,25 @@ func (s *Session) OfferRaw(nodeID int, t float64, src *dataflow.Operator, typ st
 	if err := s.admit(nodeID, src, t); err != nil {
 		return err
 	}
-	if t >= s.cfg.Duration {
-		// Dropped like the batch path's arrival builder — but the value
-		// must still validate, matching the decode-then-Offer behavior.
-		if _, err := s.ingest.decode(typ, raw, true); err != nil {
-			return fmt.Errorf("runtime: %v: %w", err, ErrBadArrival)
+	// Arrivals dropped at or beyond Duration (like the batch path's
+	// arrival builder) or by the churn model must still validate,
+	// matching the decode-then-Offer behavior.
+	drop := t >= s.cfg.Duration
+	if !drop {
+		if err := s.advance(t); err != nil {
+			return err
 		}
-		return nil
+		drop = s.scen.drops(nodeID, t)
 	}
-	if err := s.advance(t); err != nil {
-		return err
-	}
-	if s.scen.drops(nodeID, t) {
-		// Dropped by the churn model, exactly like Offer — but the value
-		// must still validate, matching the decode-then-Offer behavior.
-		if _, err := s.ingest.decode(typ, raw, true); err != nil {
-			return fmt.Errorf("runtime: %v: %w", err, ErrBadArrival)
-		}
-		return nil
-	}
-	v, err := s.ingest.decode(typ, raw, false)
+	v, err := s.ingest.decode(typ, raw, drop)
 	if err != nil {
 		return fmt.Errorf("runtime: %v: %w", err, ErrBadArrival)
 	}
+	if drop {
+		return nil
+	}
 	return s.push(nodeID, arrival{t: t, src: src, v: v})
 }
-
-// admit applies the per-arrival validity checks shared by Offer and
-// OfferRaw and advances the time-order watermark.
-func (s *Session) admit(nodeID int, src *dataflow.Operator, t float64) error {
-	if s.closed {
-		return fmt.Errorf("runtime: Offer on a closed Session")
-	}
-	if nodeID < 0 || nodeID >= s.cfg.Nodes {
-		return fmt.Errorf("runtime: arrival for node %d outside [0,%d): %w", nodeID, s.cfg.Nodes, ErrBadArrival)
-	}
-	if !s.sources[src] {
-		// Arrivals inject only at the graph's sources (all of which
-		// validateConfig pins to the node partition, §4.2.1) — an
-		// injection at a mid-graph or server-side operator would bypass
-		// upstream processing and silently skew the Result.
-		return fmt.Errorf("runtime: arrival source %v is not a source of the graph: %w", src, ErrBadArrival)
-	}
-	if t < s.lastTime {
-		return fmt.Errorf("runtime: arrivals out of order (%.6f after %.6f): %w", t, s.lastTime, ErrBadArrival)
-	}
-	s.lastTime = t
-	return nil
-}
-
-// advance flushes every window boundary the arrival time crosses.
-func (s *Session) advance(t float64) error {
-	for t >= s.windowStart+s.window {
-		if s.windowStart+s.window <= s.windowStart {
-			return fmt.Errorf("runtime: WindowSeconds %g cannot advance the window clock at t=%g",
-				s.window, s.windowStart)
-		}
-		if s.buffered == 0 {
-			// Nothing pending: jump the window clock over the rest of the
-			// arrival gap in one step rather than one (empty) flush per
-			// window — windows can be arbitrarily small relative to the
-			// gap, and the gap can follow a flushed window.
-			if steps := math.Floor((t - s.windowStart) / s.window); steps > 1 {
-				s.windowStart += (steps - 1) * s.window
-				continue
-			}
-		}
-		if err := s.flushWindow(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// push buffers one validated, in-window arrival.
-func (s *Session) push(nodeID int, a arrival) error {
-	if s.buffered >= s.maxBuffered {
-		// The buffer is the streaming path's entire working set; a window
-		// dense enough to blow past this cap (arrival density × window
-		// size is caller-controlled) must fail rather than grow without
-		// bound — shrink WindowSeconds or thin the trace. Typed as
-		// backpressure so servers can shed the tenant with a 429.
-		return fmt.Errorf("runtime: window [%g,%g) exceeds %d buffered arrivals: %w",
-			s.windowStart, s.windowStart+s.window, s.maxBuffered, ErrBackpressure)
-	}
-	s.buf[nodeID] = append(s.buf[nodeID], a)
-	s.buffered++
-	if s.buffered > s.peakBuffered {
-		s.peakBuffered = s.buffered
-	}
-	return nil
-}
-
-// maxWindowArrivals caps one ingestion window's buffered arrivals — far
-// above any sane window (64 nodes × 40 ev/s × 60 s ≈ 150k) but a hard
-// stop for a hostile or misconfigured stream that never crosses a window
-// boundary.
-const maxWindowArrivals = 1 << 20
 
 // flushWindow runs the buffered arrivals through the node instances,
 // folds reduce rounds that completed, prices the window's offered load,
@@ -405,22 +250,11 @@ const maxWindowArrivals = 1 << 20
 // a pipe, phased otherwise.
 func (s *Session) flushWindow() error {
 	cfg := &s.cfg
-	// The window's span is WindowSeconds except for a final partial
-	// window (Duration not a multiple of the window): its messages
-	// occupy only the remaining simulated time, and pricing them over a
-	// full window would understate the offered load.
-	span := s.window
-	if rest := cfg.Duration - s.windowStart; rest < span {
-		span = rest
-	}
-	s.windowStart += s.window
-	if s.buffered == 0 {
-		// Nothing arrived this window: no node work, no new reduce
-		// rounds, nothing to deliver — just advance the window clock
-		// (arrival gaps must not spin up the worker pool per window).
+	span, ok := s.beginWindow()
+	if !ok {
+		// Arrival gaps must not spin up the worker pool per window.
 		return nil
 	}
-	s.lastSpan = span
 	if cfg.Timings != nil {
 		s.stageStart = time.Now()
 	}
@@ -458,7 +292,20 @@ func (s *Session) flushWindow() error {
 			return err
 		}
 	}
-	msgs := s.winMsgs[:0]
+	s.winMsgs = s.collectWindow(s.winMsgs[:0])
+	s.winOut = s.fold(s.winMsgs, s.winOut[:0])
+	if err := s.deliverWindow(s.winOut, span, nil); err != nil {
+		return err
+	}
+	s.resetWindowStorage()
+	s.ingest.rotate()
+	return nil
+}
+
+// collectWindow appends every node's window output to msgs in node order
+// (the order the distributed merge reproduces), accrues the send counters,
+// and resets the senders and arrival buffers for the next window.
+func (s *Session) collectWindow(msgs []message) []message {
 	for n, ns := range s.nodes {
 		msgs = append(msgs, ns.s.msgs...)
 		s.res.MsgsSent += ns.s.msgsSent
@@ -467,18 +314,8 @@ func (s *Session) flushWindow() error {
 		ns.s.msgsSent, ns.s.payloadBytes = 0, 0
 		s.buf[n] = s.buf[n][:0]
 	}
-	s.winMsgs = msgs
 	s.buffered = 0
-	out := s.agg.add(cfg, msgs, &s.res, s.winOut[:0])
-	out = s.agg.flushComplete(cfg, &s.res, out)
-	out = s.agg.flushExcess(cfg, &s.res, out)
-	s.winOut = out
-	if err := s.deliverWindow(out, span, nil); err != nil {
-		return err
-	}
-	s.resetWindowStorage()
-	s.ingest.rotate()
-	return nil
+	return msgs
 }
 
 // resetWindowStorage rewinds the phased path's per-window storage once
@@ -495,10 +332,9 @@ func (s *Session) resetWindowStorage() {
 	s.winOut = s.winOut[:0]
 }
 
-// deliverWindow prices one window's message batch (always on the
-// coordinator, in window order — the ratio is a global function of every
-// shard's offered load) and delivers it: dispatched to the pipeline's
-// shard workers when win is non-nil, synchronously otherwise.
+// deliverWindow prices one window's message batch and delivers it:
+// dispatched to the pipeline's shard workers when win is non-nil,
+// synchronously otherwise.
 func (s *Session) deliverWindow(out []message, span float64, win *windowBufs) error {
 	// The node stage ends here even when the window has nothing to
 	// deliver (all messages folded into pending reduce rounds) — accrue
@@ -507,35 +343,18 @@ func (s *Session) deliverWindow(out []message, span float64, win *windowBufs) er
 		t.addNode(time.Since(s.stageStart))
 		s.stageStart = time.Time{}
 	}
-	if len(out) == 0 {
-		if win != nil {
-			s.pipe.recycle(win)
-		}
-		if s.OnWindow != nil {
-			s.OnWindow(WindowObservation{Start: s.windowStart - s.window, Span: span})
-		}
-		return nil
-	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].time < out[j].time })
 	air := 0
 	for i := range out {
 		air += out[i].air
 	}
-	s.totalAir += air
-	ratio := s.ch.DeliveryRatio(float64(air) / span)
-	ratio = s.scen.priceRatio(ratio, s.windowIndex())
-	if s.OnWindow != nil {
-		s.OnWindow(WindowObservation{
-			Start: s.windowStart - s.window, Span: span,
-			AirBytes: air, Ratio: ratio, Messages: len(out),
-		})
+	ratio, ok := s.price(air, len(out), span)
+	if !ok {
+		if win != nil {
+			s.pipe.recycle(win)
+		}
+		return nil
 	}
-	if !s.sawWindow {
-		s.ratioFirst, s.sawWindow = ratio, true
-	} else if ratio != s.ratioFirst {
-		s.ratioUniform = false
-	}
-	s.ratioAir += ratio * float64(air)
 	if win != nil {
 		return s.pipe.dispatch(out, ratio, win)
 	}
@@ -547,18 +366,28 @@ func (s *Session) deliverWindow(out []message, span float64, win *windowBufs) er
 	return err
 }
 
-// windowIndex is the zero-based index of the window being priced (its
-// start is windowStart - window: flushWindow has already advanced the
-// clock past it). It keys the burst model's per-window loss chain, and
-// is identical across placements because the window clock is.
-func (s *Session) windowIndex() int {
-	return int(math.Round(s.windowStart/s.window)) - 1
+// release returns the pooled instances, arenas and shard engines.
+func (s *Session) release() {
+	for _, inst := range s.insts {
+		s.prog.ReleaseInstance(inst)
+	}
+	s.insts, s.nodes = nil, nil
+	for _, a := range s.arenas {
+		releaseArena(a)
+	}
+	s.arenas = nil
+	s.plan.close()
 }
 
-// PeakBuffered reports the most arrivals ever buffered at once — the
-// streaming path's working-set bound, a function of the window and the
-// arrival rate but not of the trace duration.
-func (s *Session) PeakBuffered() int { return s.peakBuffered }
+// abort tears the session down without flushing or a Result (a failed
+// resume).
+func (s *Session) abort() {
+	s.closed = true
+	if s.pipe != nil {
+		s.pipe.shutdown()
+	}
+	s.release()
+}
 
 // Close flushes the final window and any reduce rounds still pending,
 // joins the pipeline, releases the pooled instances and arenas, and
@@ -567,7 +396,6 @@ func (s *Session) Close() (*Result, error) {
 	if s.closed {
 		return nil, fmt.Errorf("runtime: Close on a closed Session")
 	}
-	s.closed = true
 	pipeDown := false
 	stopPipe := func() error {
 		if s.pipe == nil || pipeDown {
@@ -578,42 +406,26 @@ func (s *Session) Close() (*Result, error) {
 	}
 	defer func() {
 		stopPipe()
-		for _, inst := range s.insts {
-			s.prog.ReleaseInstance(inst)
-		}
-		s.insts, s.nodes = nil, nil
-		for _, a := range s.arenas {
-			releaseArena(a)
-		}
-		s.arenas = nil
-		s.plan.close()
+		s.release()
 	}()
 	cfg := &s.cfg
-	if s.buffered > 0 {
-		if err := s.flushWindow(); err != nil {
-			return nil, err
+	var win *windowBufs
+	tail, err := s.beginClose(func() []message {
+		if cfg.Timings != nil {
+			s.stageStart = time.Now()
 		}
-	}
-	// Rounds still pending (some node never emitted past them) flush as
-	// one last batch, priced over the final window's actual span — no
-	// additional simulated time exists to spread them over.
-	if cfg.Timings != nil {
-		s.stageStart = time.Now()
-	}
-	if s.pipe != nil {
-		win := s.pipe.getWin()
+		if s.pipe == nil {
+			return s.winOut[:0]
+		}
+		win = s.pipe.getWin()
 		s.agg.arena = win.arenas[len(win.arenas)-1]
-		tail := s.agg.flushAll(cfg, &s.res, win.out[:0])
-		win.out = tail
-		if err := s.deliverWindow(tail, s.lastSpan, win); err != nil {
-			return nil, err
-		}
-	} else {
-		tail := s.agg.flushAll(cfg, &s.res, s.winOut[:0])
-		s.winOut = tail
-		if err := s.deliverWindow(tail, s.lastSpan, nil); err != nil {
-			return nil, err
-		}
+		return win.out[:0]
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := s.deliverWindow(tail, s.lastSpan, win); err != nil {
+		return nil, err
 	}
 	// The pipeline must drain before the shard counters are read.
 	if err := stopPipe(); err != nil {
@@ -624,24 +436,11 @@ func (s *Session) Close() (*Result, error) {
 		s.res.ProcessedEvents += ns.processedEvents
 		s.res.NodeCPU += ns.busy
 	}
-	s.res.NodeCPU /= cfg.Duration * float64(cfg.Nodes)
-	s.res.OfferedAirBytesPerSec = float64(s.totalAir) / cfg.Duration
-	switch {
-	case !s.sawWindow:
-		s.res.DeliveryRatio = s.ch.DeliveryRatio(0)
-	case s.ratioUniform:
-		// Every window priced identically — report that exact ratio (the
-		// steady-rate case, byte-identical to the batch path's).
-		s.res.DeliveryRatio = s.ratioFirst
-	default:
-		s.res.DeliveryRatio = s.ratioAir / float64(s.totalAir)
-	}
 	s.plan.collect(&s.res)
 	if t := cfg.Timings; t != nil {
 		t.addWall(time.Since(s.started))
 	}
-	res := s.res
-	return &res, nil
+	return s.finish(), nil
 }
 
 // runStream is Run's streaming path: pull every node's arrival stream,

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -16,6 +17,11 @@ import (
 // SnapshotVersion is bumped whenever the layout of any frame changes;
 // decoders reject other versions loudly rather than misparse.
 const SnapshotVersion = 1
+
+// ErrMalformedSnapshot marks every decode failure of a snapshot frame —
+// a wrong version, a truncation, a count larger than the bytes left —
+// so restore entry points can reject hostile or damaged blobs by type.
+var ErrMalformedSnapshot = errors.New("malformed snapshot")
 
 // SnapshotWriter appends snapshot frames to a growing buffer.
 type SnapshotWriter struct {
@@ -88,10 +94,10 @@ type SnapshotReader struct {
 // positioned after it.
 func NewSnapshotReader(data []byte) (*SnapshotReader, error) {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("wire: empty snapshot")
+		return nil, fmt.Errorf("wire: empty snapshot: %w", ErrMalformedSnapshot)
 	}
 	if data[0] != SnapshotVersion {
-		return nil, fmt.Errorf("wire: snapshot version %d, this build reads %d", data[0], SnapshotVersion)
+		return nil, fmt.Errorf("wire: snapshot version %d, this build reads %d: %w", data[0], SnapshotVersion, ErrMalformedSnapshot)
 	}
 	return &SnapshotReader{data: data[1:]}, nil
 }
@@ -104,7 +110,7 @@ func (r *SnapshotReader) Done() bool { return r.err == nil && len(r.data) == 0 }
 
 func (r *SnapshotReader) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("wire: truncated snapshot (%s)", what)
+		r.err = fmt.Errorf("wire: truncated snapshot (%s): %w", what, ErrMalformedSnapshot)
 	}
 }
 
@@ -134,6 +140,19 @@ func (r *SnapshotReader) Uvarint() uint64 {
 	}
 	r.data = r.data[n:]
 	return v
+}
+
+// Count reads an element count written with Uvarint. Every element of a
+// snapshot section takes at least one byte, so a count beyond the bytes
+// left is malformed: it fails the reader (returning 0) before any caller
+// sizes an allocation by it.
+func (r *SnapshotReader) Count() int {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(len(r.data)) {
+		r.err = fmt.Errorf("wire: snapshot count %d exceeds the %d bytes left: %w", n, len(r.data), ErrMalformedSnapshot)
+		return 0
+	}
+	return int(n)
 }
 
 // Int reads a signed varint.
@@ -220,12 +239,12 @@ func (re *Reassembler) LoadSnapshot(r *SnapshotReader) error {
 	}
 	re.started = true
 	re.seq = r.U16()
-	re.count = int(r.Uvarint())
+	re.count = r.Count()
 	if r.Err() != nil {
 		return r.Err()
 	}
 	if re.count <= 0 || re.count > 255 {
-		return fmt.Errorf("wire: snapshot reassembler fragment count %d", re.count)
+		return fmt.Errorf("wire: snapshot reassembler fragment count %d: %w", re.count, ErrMalformedSnapshot)
 	}
 	re.parts = make([][]byte, re.count)
 	re.store = make([][]byte, re.count)

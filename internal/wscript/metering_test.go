@@ -257,7 +257,7 @@ main = feat;
 		{"sequential", func(cfg *runtime.Config) { cfg.Workers = 1 }},
 		{"sharded", func(cfg *runtime.Config) { cfg.Workers = 4; cfg.Shards = 4 }},
 		{"unbatched", func(cfg *runtime.Config) { cfg.Workers = 4; cfg.Shards = 4; cfg.NoBatch = true }},
-		{"stream-phased", func(cfg *runtime.Config) { streaming(cfg); cfg.NoPipeline = true; cfg.Shards = 3; cfg.Workers = 4 }},
+		{"stream-phased", func(cfg *runtime.Config) { streaming(cfg); cfg.Shards = 3; cfg.Workers = 1 }},
 		{"stream-pipelined", func(cfg *runtime.Config) { streaming(cfg); cfg.Shards = 3; cfg.Workers = 4 }},
 	}
 	var refFuel, refCalls uint64
