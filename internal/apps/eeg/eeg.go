@@ -71,24 +71,63 @@ type featVec []float32
 // WireSize implements dataflow.Sized.
 func (f featVec) WireSize() int { return 4 * len(f) }
 
-// batchScratch holds the float64 conversion buffers a BatchWork reuses
-// across a batch's elements; emitted values are never backed by it.
-type batchScratch struct{ a, b []float64 }
+// scratch holds the float64 conversion buffers Work and BatchWork reuse
+// across elements; emitted values are never backed by it, and both
+// return it to the pool before emitting.
+type scratch struct{ a, b []float64 }
 
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func (s *batchScratch) f64a(n int) []float64 {
+func (s *scratch) f64a(n int) []float64 {
 	if cap(s.a) < n {
 		s.a = make([]float64, n)
 	}
 	return s.a[:n]
 }
 
-func (s *batchScratch) f64b(n int) []float64 {
+func (s *scratch) f64b(n int) []float64 {
 	if cap(s.b) < n {
 		s.b = make([]float64, n)
 	}
 	return s.b[:n]
+}
+
+// toFloatInto converts x into out (len(out) ≥ len(x)) and returns the
+// filled prefix.
+func toFloatInto(x []int16, out []float64) []float64 {
+	out = out[:len(x)]
+	for i, v := range x {
+		out[i] = float64(v)
+	}
+	return out
+}
+
+// toInt16Into converts x into out (len(out) ≥ len(x)), clamping to the
+// int16 range, and returns the filled prefix.
+func toInt16Into(x []float64, out []int16) []int16 {
+	out = out[:len(x)]
+	for i, v := range x {
+		if v > 32767 {
+			v = 32767
+		} else if v < -32768 {
+			v = -32768
+		}
+		out[i] = int16(v)
+	}
+	return out
+}
+
+// popFront drops a queue's head. Draining the last element truncates the
+// queue in place instead of slicing past it, so a queue that empties
+// after every element keeps its capacity and the next append does not
+// allocate.
+func popFront[T any](q []T) []T {
+	var zero T
+	q[0] = zero
+	if len(q) == 1 {
+		return q[:0]
+	}
+	return q[1:]
 }
 
 // totalLen16 sums the lengths of a batch of []int16 values, sizing one
@@ -295,16 +334,14 @@ func buildWavelet(g *dataflow.Graph, base string, in *dataflow.Operator, evenC, 
 	getEven := g.Add(&dataflow.Operator{
 		Name: base + ".getEven", NS: dataflow.NSNode,
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			even, _ := splitInt16(ctx, v.([]int16))
-			emit(even)
+			emit(splitHalf(ctx, v.([]int16), 0))
 		},
 		BatchWork: splitBatch(0),
 	})
 	getOdd := g.Add(&dataflow.Operator{
 		Name: base + ".getOdd", NS: dataflow.NSNode,
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			_, odd := splitInt16(ctx, v.([]int16))
-			emit(odd)
+			emit(splitHalf(ctx, v.([]int16), 1))
 		},
 		BatchWork: splitBatch(1),
 	})
@@ -327,7 +364,7 @@ func buildWavelet(g *dataflow.Graph, base string, in *dataflow.Operator, evenC, 
 			ctx.Counter.Add(cost.Store, 2)
 			for len(st.a) > 0 && len(st.b) > 0 {
 				pair := pairVal{a: st.a[0], b: st.b[0]}
-				st.a, st.b = st.a[1:], st.b[1:]
+				st.a, st.b = popFront(st.a), popFront(st.b)
 				emit(pair)
 			}
 		},
@@ -397,48 +434,27 @@ func buildFIR(g *dataflow.Graph, name string, in *dataflow.Operator, coeffs []fl
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
 			st := ctx.State.(*firState)
 			in := v.([]int16)
-			x := make([]float64, len(in))
-			for i, s := range in {
-				x[i] = float64(s)
-			}
-			y := dsp.FIRBlock(ctx.Counter, st.fir, coeffs, x)
-			out := make([]int16, len(y))
-			for i, s := range y {
-				if s > 32767 {
-					s = 32767
-				} else if s < -32768 {
-					s = -32768
-				}
-				out[i] = int16(s)
-			}
+			sc := scratchPool.Get().(*scratch)
+			x := toFloatInto(in, sc.f64a(len(in)))
+			y := dsp.FIRBlockInto(ctx.Counter, st.fir, coeffs, x, sc.f64b(len(in)))
+			out := toInt16Into(y, make([]int16, len(y)))
+			scratchPool.Put(sc)
 			emit(out)
 		},
 		BatchStateSafe: true,
 		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
 			st := ctx.State.(*firState)
-			sc := batchScratchPool.Get().(*batchScratch)
+			sc := scratchPool.Get().(*scratch)
 			slab := make([]int16, totalLen16(vs))
 			out := make([]dataflow.Value, len(vs))
 			for i, v := range vs {
 				in := v.([]int16)
-				x := sc.f64a(len(in))
-				for j, s := range in {
-					x[j] = float64(s)
-				}
+				x := toFloatInto(in, sc.f64a(len(in)))
 				y := dsp.FIRBlockInto(ctx.Counter, st.fir, coeffs, x, sc.f64b(len(in)))
-				o := slab[:len(y)]
+				out[i] = toInt16Into(y, slab)
 				slab = slab[len(y):]
-				for j, s := range y {
-					if s > 32767 {
-						s = 32767
-					} else if s < -32768 {
-						s = -32768
-					}
-					o[j] = int16(s)
-				}
-				out[i] = o
 			}
-			batchScratchPool.Put(sc)
+			scratchPool.Put(sc)
 			emit(out)
 		},
 	})
@@ -453,24 +469,19 @@ func buildMag(g *dataflow.Graph, name string, in *dataflow.Operator, gain float6
 		Name: name, NS: dataflow.NSNode,
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
 			in := v.([]int16)
-			x := make([]float64, len(in))
-			for i, s := range in {
-				x[i] = float64(s)
-			}
-			emit(float32(dsp.MagWithScale(ctx.Counter, gain, x)))
+			sc := scratchPool.Get().(*scratch)
+			e := float32(dsp.MagWithScale(ctx.Counter, gain, toFloatInto(in, sc.f64a(len(in)))))
+			scratchPool.Put(sc)
+			emit(e)
 		},
 		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			sc := batchScratchPool.Get().(*batchScratch)
+			sc := scratchPool.Get().(*scratch)
 			out := make([]dataflow.Value, len(vs))
 			for i, v := range vs {
 				in := v.([]int16)
-				x := sc.f64a(len(in))
-				for j, s := range in {
-					x[j] = float64(s)
-				}
-				out[i] = float32(dsp.MagWithScale(ctx.Counter, gain, x))
+				out[i] = float32(dsp.MagWithScale(ctx.Counter, gain, toFloatInto(in, sc.f64a(len(in)))))
 			}
-			batchScratchPool.Put(sc)
+			scratchPool.Put(sc)
 			emit(out)
 		},
 	})
@@ -496,7 +507,16 @@ func zipWork(ports int) dataflow.WorkFunc {
 					return
 				}
 			}
-			var row featVec
+			n := 0
+			for _, q := range st.q {
+				switch x := q[0].(type) {
+				case float32:
+					n++
+				case featVec:
+					n += len(x)
+				}
+			}
+			row := make(featVec, 0, n)
 			for p := range st.q {
 				switch x := st.q[p][0].(type) {
 				case float32:
@@ -504,7 +524,7 @@ func zipWork(ports int) dataflow.WorkFunc {
 				case featVec:
 					row = append(row, x...)
 				}
-				st.q[p] = st.q[p][1:]
+				st.q[p] = popFront(st.q[p])
 			}
 			ctx.Counter.Add(cost.Load, len(row))
 			ctx.Counter.Add(cost.Store, len(row))
@@ -515,14 +535,14 @@ func zipWork(ports int) dataflow.WorkFunc {
 
 // splitBatch is the batched GetEven (half 0) / GetOdd (half 1) kernel:
 // each element keeps the selected polyphase half, with the same counter
-// charges as splitInt16 per element.
+// charges as splitHalf per element.
 func splitBatch(half int) dataflow.BatchWorkFunc {
 	return func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
 		total, loads, stores := 0, 0, 0
 		for _, v := range vs {
 			n := len(v.([]int16))
 			loads += n
-			stores += n / 2 // splitInt16 charges len/2 per element, rounded down
+			stores += n / 2 // splitHalf charges len/2 per element, rounded down
 			if half == 0 {
 				total += (n + 1) / 2
 			} else {
@@ -553,21 +573,18 @@ func splitBatch(half int) dataflow.BatchWorkFunc {
 	}
 }
 
-// splitInt16 is the GetEven/GetOdd kernel on int16 blocks.
-func splitInt16(ctx *dataflow.Ctx, x []int16) (even, odd []int16) {
-	even = make([]int16, 0, (len(x)+1)/2)
-	odd = make([]int16, 0, len(x)/2)
-	for i, v := range x {
-		if i%2 == 0 {
-			even = append(even, v)
-		} else {
-			odd = append(odd, v)
-		}
+// splitHalf is the GetEven (half 0) / GetOdd (half 1) kernel on one
+// int16 block. It charges the whole polyphase split — every sample
+// loaded and branched on, half of them stored — whichever half it keeps.
+func splitHalf(ctx *dataflow.Ctx, x []int16, half int) []int16 {
+	out := make([]int16, (len(x)+1-half)/2)
+	for j := range out {
+		out[j] = x[2*j+half]
 	}
 	ctx.Counter.Add(cost.Load, len(x))
 	ctx.Counter.Add(cost.Store, len(x)/2)
 	ctx.Counter.Add(cost.Branch, len(x))
-	return even, odd
+	return out
 }
 
 // svmWeights returns the fixed synthetic patient-specific weight vector:

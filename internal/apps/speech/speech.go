@@ -63,11 +63,12 @@ type prefiltState struct{ fir *dsp.FIRState }
 
 var prefiltCoeffs = []float64{0.35, 0.4, 0.2, 0.05}
 
-// scratch holds the per-batch intermediate buffers a BatchWork reuses
-// across elements: float64 conversion/kernel space and the FFT's complex
-// workspace. Emitted values are never backed by scratch — each batch
-// invocation allocates one output slab shared by its emitted slices, so
-// ~2 allocations replace ~2 per element.
+// scratch holds the intermediate buffers Work and BatchWork reuse across
+// elements: float64 conversion/kernel space and the FFT's complex
+// workspace. Emitted values are never backed by scratch — a Work
+// allocates only the value it emits, and each batch invocation one
+// output slab shared by its emitted slices. Both return the scratch to
+// the pool before emitting.
 type scratch struct {
 	a, b []float64
 	cplx []dsp.Complex
@@ -114,13 +115,13 @@ func New() *App {
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
 			st := ctx.State.(*preemphState)
 			in := v.([]int16)
-			x := make([]float64, len(in))
-			for i, s := range in {
-				x[i] = float64(s)
-			}
-			y, prev := dsp.PreEmphasis(ctx.Counter, x, 0.97, st.prev)
+			sc := scratchPool.Get().(*scratch)
+			x := toFloatInto(in, sc.f64a(len(in)))
+			y, prev := dsp.PreEmphasisInto(ctx.Counter, x, 0.97, st.prev, sc.f64b(len(in)))
 			st.prev = prev
-			emit(toInt16(y))
+			out := toInt16(y)
+			scratchPool.Put(sc)
+			emit(out)
 		},
 		BatchStateSafe: true,
 		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
@@ -142,8 +143,12 @@ func New() *App {
 	hammingOp := g.Add(&dataflow.Operator{
 		Name: "hamming", NS: dataflow.NSNode,
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			x := toFloat(v.([]int16))
-			emit(toInt16(dsp.ApplyWindow(ctx.Counter, x, hamming)))
+			in := v.([]int16)
+			sc := scratchPool.Get().(*scratch)
+			x := toFloatInto(in, sc.f64a(len(in)))
+			out := toInt16(dsp.ApplyWindowInto(ctx.Counter, x, hamming, sc.f64b(len(in))))
+			scratchPool.Put(sc)
+			emit(out)
 		},
 		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
 			sc := scratchPool.Get().(*scratch)
@@ -164,8 +169,12 @@ func New() *App {
 		NewState: func() any { return &prefiltState{fir: dsp.NewFIRState(len(prefiltCoeffs))} },
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
 			st := ctx.State.(*prefiltState)
-			x := toFloat(v.([]int16))
-			emit(toInt16(dsp.FIRBlock(ctx.Counter, st.fir, prefiltCoeffs, x)))
+			in := v.([]int16)
+			sc := scratchPool.Get().(*scratch)
+			x := toFloatInto(in, sc.f64a(len(in)))
+			out := toInt16(dsp.FIRBlockInto(ctx.Counter, st.fir, prefiltCoeffs, x, sc.f64b(len(in))))
+			scratchPool.Put(sc)
+			emit(out)
 		},
 		BatchStateSafe: true,
 		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
@@ -186,9 +195,13 @@ func New() *App {
 	fft := g.Add(&dataflow.Operator{
 		Name: "FFT", NS: dataflow.NSNode,
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			x := toFloat(v.([]int16))
-			ps := dsp.PowerSpectrum(ctx.Counter, x)
-			emit(toFloat32(ps))
+			in := v.([]int16)
+			n := dsp.NextPow2(len(in))
+			sc := scratchPool.Get().(*scratch)
+			x := toFloatInto(in, sc.f64a(len(in)))
+			out := toFloat32(dsp.PowerSpectrumInto(ctx.Counter, x, sc.complexBuf(n), sc.f64b(n/2)))
+			scratchPool.Put(sc)
+			emit(out)
 		},
 		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
 			sc := scratchPool.Get().(*scratch)
@@ -212,8 +225,12 @@ func New() *App {
 	filtBank := g.Add(&dataflow.Operator{
 		Name: "filtBank", NS: dataflow.NSNode,
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			spec := toFloat64From32(v.([]float32))
-			emit(toFloat32(mel.Apply(ctx.Counter, spec)))
+			in := v.([]float32)
+			sc := scratchPool.Get().(*scratch)
+			spec := toFloat64From32Into(in, sc.f64a(len(in)))
+			out := toFloat32(mel.ApplyInto(ctx.Counter, spec, sc.f64b(mel.NumFilters())))
+			scratchPool.Put(sc)
+			emit(out)
 		},
 		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
 			sc := scratchPool.Get().(*scratch)
@@ -232,14 +249,12 @@ func New() *App {
 	logs := g.Add(&dataflow.Operator{
 		Name: "logs", NS: dataflow.NSNode,
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			energies := toFloat64From32(v.([]float32))
-			lg := dsp.Log10Block(ctx.Counter, energies)
-			// Quantize to 8.8 fixed point: halves the element size, making
-			// logs a viable (data-reducing) cutpoint as in Figure 5(b).
-			q := make([]int16, len(lg))
-			for i, e := range lg {
-				q[i] = int16(math.Max(-128, math.Min(127, e)) * 256)
-			}
+			in := v.([]float32)
+			sc := scratchPool.Get().(*scratch)
+			energies := toFloat64From32Into(in, sc.f64a(len(in)))
+			lg := dsp.Log10BlockInto(ctx.Counter, energies, sc.f64b(len(in)))
+			q := quantize88(lg, make([]int16, len(lg)))
+			scratchPool.Put(sc)
 			emit(q)
 		},
 		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
@@ -254,12 +269,8 @@ func New() *App {
 				in := v.([]float32)
 				energies := toFloat64From32Into(in, sc.f64a(len(in)))
 				lg := dsp.Log10BlockInto(ctx.Counter, energies, sc.f64b(len(in)))
-				q := slab[:len(lg)]
+				out[i] = quantize88(lg, slab[:len(lg)])
 				slab = slab[len(lg):]
-				for j, e := range lg {
-					q[j] = int16(math.Max(-128, math.Min(127, e)) * 256)
-				}
-				out[i] = q
 			}
 			scratchPool.Put(sc)
 			emit(out)
@@ -269,11 +280,14 @@ func New() *App {
 		Name: "cepstrals", NS: dataflow.NSNode,
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
 			q := v.([]int16)
-			lg := make([]float64, len(q))
+			sc := scratchPool.Get().(*scratch)
+			lg := sc.f64a(len(q))
 			for i, e := range q {
 				lg[i] = float64(e) / 256
 			}
-			emit(toFloat32(dsp.DCTII(ctx.Counter, lg, NumCepstra)))
+			out := toFloat32(dsp.DCTIIInto(ctx.Counter, lg, NumCepstra, sc.f64b(NumCepstra)))
+			scratchPool.Put(sc)
+			emit(out)
 		},
 		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
 			sc := scratchPool.Get().(*scratch)
@@ -329,40 +343,15 @@ func (a *App) CutpointNames() []string {
 	return names
 }
 
-func toFloat(x []int16) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = float64(v)
-	}
-	return out
-}
-
+// toInt16 converts x into a fresh slice, clamping like toInt16Carve.
 func toInt16(x []float64) []int16 {
-	out := make([]int16, len(x))
-	for i, v := range x {
-		if v > 32767 {
-			v = 32767
-		} else if v < -32768 {
-			v = -32768
-		}
-		out[i] = int16(v)
-	}
+	out, _ := toInt16Carve(x, make([]int16, len(x)))
 	return out
 }
 
+// toFloat32 converts x into a fresh slice.
 func toFloat32(x []float64) []float32 {
-	out := make([]float32, len(x))
-	for i, v := range x {
-		out[i] = float32(v)
-	}
-	return out
-}
-
-func toFloat64From32(x []float32) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = float64(v)
-	}
+	out, _ := toFloat32Carve(x, make([]float32, len(x)))
 	return out
 }
 
@@ -392,8 +381,18 @@ func toFloat64From32Into(x []float32, out []float64) []float64 {
 	return out
 }
 
-// toInt16Carve converts x into the front of slab (with the same clamping
-// as toInt16) and returns the converted slice plus the remaining slab.
+// quantize88 writes x into q as 8.8 fixed point (clamped to ±128) and
+// returns q: it halves the log energies' element size, making logs a
+// viable (data-reducing) cutpoint as in Figure 5(b).
+func quantize88(x []float64, q []int16) []int16 {
+	for i, e := range x {
+		q[i] = int16(math.Max(-128, math.Min(127, e)) * 256)
+	}
+	return q
+}
+
+// toInt16Carve converts x into the front of slab, clamping to the int16
+// range, and returns the converted slice plus the remaining slab.
 func toInt16Carve(x []float64, slab []int16) ([]int16, []int16) {
 	out := slab[:len(x)]
 	for i, v := range x {

@@ -441,10 +441,13 @@ func feed(ds offerer, cfg *runtime.Config, source func(nodeID int) (runtime.Stre
 }
 
 // httpHost drives one remote shard session over the /v1/shard protocol.
-// Arrival values and reduce contributions travel wire-marshaled (binary,
-// base64 in the JSON envelope), so every element round-trips bit-exactly;
-// the plain float64 fields (times, ratio, busy seconds) are exact under
-// JSON's shortest-round-trip encoding.
+// A window's arrivals travel as one binary compute body
+// (wire.AppendShardComputeRequest: exact time bits, wire-marshaled
+// values), encoded into a buffer the host keeps across windows and capped
+// by the peer at server.MaxRequestBytes. Reduce contributions return
+// wire-marshaled inside the JSON response, so every element round-trips
+// bit-exactly; the plain float64 fields (ratio, busy seconds) are exact
+// under JSON's shortest-round-trip encoding.
 //
 // Every call runs under the coordinator's retry policy. The compute and
 // deliver calls are not idempotent, so each carries the coordinator's
@@ -457,7 +460,8 @@ type httpHost struct {
 	url     string
 	session string
 	retry   RetryPolicy
-	seq     int64 // window sequence: bumped per ComputeWindow, shared by its DeliverWindow
+	seq     int64  // window sequence: bumped per ComputeWindow, shared by its DeliverWindow
+	body    []byte // compute request encode buffer, reused across windows
 }
 
 func (h *httpHost) rpc(op string, f func(ctx context.Context) error) error {
@@ -466,18 +470,16 @@ func (h *httpHost) rpc(op string, f func(ctx context.Context) error) error {
 
 func (h *httpHost) ComputeWindow(span float64, arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
 	h.seq++
-	req := wire.ShardComputeRequest{Session: h.session, Window: h.seq, Span: span}
-	req.Arrivals = make([]wire.ShardArrivalWire, len(arrivals))
-	for i, a := range arrivals {
-		data, err := wire.Marshal(a.Value)
-		if err != nil {
-			return nil, fmt.Errorf("dist: arrival value for node %d does not marshal: %w", a.Node, err)
-		}
-		req.Arrivals[i] = wire.ShardArrivalWire{Node: a.Node, Time: a.Time, Source: a.Source, Value: data}
+	body, err := wire.AppendShardComputeRequest(h.body[:0], &wire.ShardComputeRequest{
+		Session: h.session, Window: h.seq, Span: span, Arrivals: arrivals,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
+	h.body = body
 	var resp *wire.ShardComputeResponse
 	if err := h.rpc("compute", func(ctx context.Context) error {
-		r, err := h.client.ShardCompute(ctx, req)
+		r, err := h.client.ShardComputeBody(ctx, body)
 		resp = r
 		return err
 	}); err != nil {

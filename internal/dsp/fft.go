@@ -34,57 +34,61 @@ func NextPow2(n int) int {
 // of x must be a power of two; FFT panics otherwise. When inverse is true
 // it computes the unscaled inverse transform (callers divide by len(x)).
 //
-// Per-stage twiddle bases come from a cached per-size plan (plan.go); the
-// counter still records the trig evaluations the embedded device would
-// perform, so profiles are unaffected.
+// Twiddles come from a cached per-size plan (plan.go); the counter still
+// records the trig evaluations and twiddle updates the embedded device
+// would perform, so profiles are unaffected. Charges are totalled per
+// call rather than per butterfly — the counter is a pure count, so the
+// totals are identical.
 func FFT(c *cost.Counter, x []Complex, inverse bool) {
 	n := len(x)
 	if n&(n-1) != 0 || n == 0 {
 		panic("dsp: FFT length must be a power of two")
 	}
 	// Bit-reversal permutation.
+	intOps, swaps := 0, 0
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
 		for ; j&bit != 0; bit >>= 1 {
 			j ^= bit
-			c.Add(cost.IntOp, 2)
+			intOps += 2
 		}
 		j |= bit
-		c.Add(cost.IntOp, 2)
+		intOps += 2
 		if i < j {
 			x[i], x[j] = x[j], x[i]
-			c.Add(cost.Load, 2)
-			c.Add(cost.Store, 2)
+			swaps++
 		}
 	}
-	twiddles := fftStageTwiddles(n)
-	for stage, length := 0, 2; length <= n; stage, length = stage+1, length<<1 {
-		wl := twiddles[stage]
-		if inverse {
-			wl.Im = -wl.Im
-		}
-		c.Add(cost.Trig, 2)
-		half := length / 2
-		for start := 0; start < n; start += length {
-			w := Complex{1, 0}
-			for k := 0; k < half; k++ {
-				u := x[start+k]
-				v := mulC(c, x[start+k+half], w)
-				x[start+k] = Complex{u.Re + v.Re, u.Im + v.Im}
-				x[start+k+half] = Complex{u.Re - v.Re, u.Im - v.Im}
-				w = mulC(c, w, wl)
-				c.Add(cost.FloatAdd, 4)
-				c.Add(cost.Load, 4)
-				c.Add(cost.Store, 4)
-				c.Add(cost.Branch, 1)
+	c.Add(cost.IntOp, intOps)
+	c.Add(cost.Load, 2*swaps)
+	c.Add(cost.Store, 2*swaps)
+	plan := fftTwiddles(n, inverse)
+	for _, tw := range plan {
+		half := len(tw)
+		for start := 0; start < n; start += 2 * half {
+			lo, hi := x[start:start+half], x[start+half:start+2*half]
+			for k, w := range tw {
+				u := lo[k]
+				v := mul(hi[k], w)
+				lo[k] = Complex{u.Re + v.Re, u.Im + v.Im}
+				hi[k] = Complex{u.Re - v.Re, u.Im - v.Im}
 			}
 		}
 	}
+	stages := len(plan)
+	// Each stage evaluates its twiddle base (two trig calls) and runs n/2
+	// butterflies; a butterfly is two complex multiplies (4 mul + 2 add
+	// each), four adds, four loads, four stores and a loop branch.
+	butterflies := stages * (n / 2)
+	c.Add(cost.Trig, 2*stages)
+	c.Add(cost.FloatMul, 8*butterflies)
+	c.Add(cost.FloatAdd, 8*butterflies)
+	c.Add(cost.Load, 4*butterflies)
+	c.Add(cost.Store, 4*butterflies)
+	c.Add(cost.Branch, butterflies)
 }
 
-func mulC(c *cost.Counter, a, b Complex) Complex {
-	c.Add(cost.FloatMul, 4)
-	c.Add(cost.FloatAdd, 2)
+func mul(a, b Complex) Complex {
 	return Complex{a.Re*b.Re - a.Im*b.Im, a.Re*b.Im + a.Im*b.Re}
 }
 

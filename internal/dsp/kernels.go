@@ -123,7 +123,11 @@ func FIRBlockInto(c *cost.Counter, s *FIRState, coeffs, x, out []float64) []floa
 	out = out[:len(x)]
 	for i, v := range x {
 		s.taps[s.pos] = v
-		s.pos = (s.pos + 1) % len(s.taps)
+		// The cursor wraps by comparison, not %: a division per sample
+		// was a visible share of the node phase.
+		if s.pos++; s.pos == len(s.taps) {
+			s.pos = 0
+		}
 		sum := 0.0
 		for j, co := range coeffs {
 			idx := s.pos - 1 - j

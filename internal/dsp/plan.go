@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Precomputed transform plans. FFT stage twiddles, Hamming windows, and
+// Precomputed transform plans. FFT twiddles, Hamming windows, and
 // DCT-II cosine tables depend only on the transform size, yet the kernels
 // originally evaluated math.Cos/math.Sin on every invocation — ~15% of a
 // deployment simulation went into recomputing identical tables (see
@@ -23,26 +23,47 @@ import (
 // profiles and simulates many tenants' graphs in parallel against shared
 // kernels.
 
-// fftPlans caches per-size forward stage twiddles: plans[log2(length)-1]
-// is w_length = e^{-2πi/length} for length = 2, 4, …, n.
-var fftPlans sync.Map // int → []Complex
+// fftKey identifies one FFT twiddle plan.
+type fftKey struct {
+	n       int
+	inverse bool
+}
 
-// fftStageTwiddles returns the forward per-stage twiddle factors for an
-// n-point FFT (n a power of two). Inverse transforms conjugate the
-// entries; math.Cos is even and math.Sin is odd (exactly, in IEEE
-// arithmetic), so the conjugate is bit-identical to evaluating at the
-// positive angle.
-func fftStageTwiddles(n int) []Complex {
-	if p, ok := fftPlans.Load(n); ok {
-		return p.([]Complex)
+// fftPlans caches per-size, per-direction twiddle tables: plan[s] holds
+// the 2^s twiddles of the butterfly stage of length 2^(s+1).
+var fftPlans sync.Map // fftKey → [][]Complex
+
+// fftTwiddles returns the twiddle tables for an n-point FFT (n a power of
+// two). Stage s's table is the sequence w_0 = 1, w_{k+1} = w_k·w_len that
+// the butterfly loop used to rebuild in every block, where w_len =
+// e^{∓2πi/len} is evaluated once with math.Cos/math.Sin (conjugated for
+// the inverse, which is exact: cos is even and sin odd in IEEE
+// arithmetic). The products are the same operations in the same order,
+// so every entry is bit-identical to the running product; the inverse
+// runs its own recurrence rather than conjugating the forward one, whose
+// signed zeros could differ.
+func fftTwiddles(n int, inverse bool) [][]Complex {
+	key := fftKey{n: n, inverse: inverse}
+	if p, ok := fftPlans.Load(key); ok {
+		return p.([][]Complex)
 	}
-	var tw []Complex
+	var plan [][]Complex
 	for length := 2; length <= n; length <<= 1 {
 		ang := -2 * math.Pi / float64(length)
-		tw = append(tw, Complex{math.Cos(ang), math.Sin(ang)})
+		wl := Complex{math.Cos(ang), math.Sin(ang)}
+		if inverse {
+			wl.Im = -wl.Im
+		}
+		tw := make([]Complex, length/2)
+		w := Complex{1, 0}
+		for k := range tw {
+			tw[k] = w
+			w = mul(w, wl)
+		}
+		plan = append(plan, tw)
 	}
-	p, _ := fftPlans.LoadOrStore(n, tw)
-	return p.([]Complex)
+	p, _ := fftPlans.LoadOrStore(key, plan)
+	return p.([][]Complex)
 }
 
 // hammingPlans caches per-size Hamming windows.

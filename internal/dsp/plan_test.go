@@ -8,8 +8,9 @@ import (
 )
 
 // fftDirect is the pre-plan FFT: identical butterflies, but stage twiddle
-// bases evaluated with math.Cos/math.Sin on every call. The plan-backed
-// FFT must match it bit for bit.
+// bases evaluated with math.Cos/math.Sin on every call, and every
+// operation charged where it happens. The plan-backed FFT must match it
+// bit for bit, and its bulk charges must total the same counts.
 func fftDirect(c *cost.Counter, x []Complex, inverse bool) {
 	n := len(x)
 	for i, j := 1, 0; i < n; i++ {
@@ -50,6 +51,13 @@ func fftDirect(c *cost.Counter, x []Complex, inverse bool) {
 			}
 		}
 	}
+}
+
+// mulC is a complex multiply charged per call, as the device code runs it.
+func mulC(c *cost.Counter, a, b Complex) Complex {
+	c.Add(cost.FloatMul, 4)
+	c.Add(cost.FloatAdd, 2)
+	return mul(a, b)
 }
 
 // dctIIDirect is the pre-plan DCT-II, evaluating every cosine at runtime.

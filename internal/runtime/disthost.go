@@ -50,13 +50,9 @@ type ShardHost struct {
 
 // HostArrival is one arrival routed to a shard host, with the source
 // operator named by ID (the coordinator and host hold separate Graph
-// instances of the same structure).
-type HostArrival struct {
-	Node   int
-	Time   float64
-	Source int
-	Value  dataflow.Value
-}
+// instances of the same structure). It is the shard protocol's arrival
+// type, so a remote host's window travels without conversion.
+type HostArrival = wire.ShardArrival
 
 // ReduceMsg is one element a host's node emitted on an in-network reduce
 // edge. It joins the coordinator's global aggregation rounds — rounds

@@ -67,11 +67,17 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	if err != nil {
 		return err
 	}
+	return c.send(ctx, path, "application/json", body, out)
+}
+
+// send posts body and decodes the JSON response into out. Each call reads
+// body through its own reader, so a retry resends the same bytes.
+func (c *Client) send(ctx context.Context, path, contentType string, body []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return err
@@ -289,9 +295,23 @@ func (c *Client) ShardOpen(ctx context.Context, req wire.ShardOpenRequest) (*wir
 }
 
 // ShardCompute runs one window's node phase on an open shard session.
+// The request travels as the binary body wire.AppendShardComputeRequest
+// encodes.
 func (c *Client) ShardCompute(ctx context.Context, req wire.ShardComputeRequest) (*wire.ShardComputeResponse, error) {
+	body, err := wire.AppendShardComputeRequest(nil, &req)
+	if err != nil {
+		return nil, err
+	}
+	return c.ShardComputeBody(ctx, body)
+}
+
+// ShardComputeBody is ShardCompute for a body the caller already encoded
+// with wire.AppendShardComputeRequest. body is only read; a caller that
+// retries a window passes the same bytes again, and may reuse the buffer
+// for the next window once the call has returned.
+func (c *Client) ShardComputeBody(ctx context.Context, body []byte) (*wire.ShardComputeResponse, error) {
 	var out wire.ShardComputeResponse
-	if err := c.post(ctx, "/v1/shard/compute", req, &out); err != nil {
+	if err := c.send(ctx, "/v1/shard/compute", "application/octet-stream", body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -51,6 +51,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -146,19 +147,19 @@ func New(cfg Config) *Server {
 		shardSessions: make(map[string]*shardSession),
 	}
 	s.cache.OnEvict(s.retireEntry)
-	s.mux.HandleFunc("POST /v1/graph", s.handleGraph)
-	s.mux.HandleFunc("POST /v1/profile", s.handleProfile)
+	s.mux.HandleFunc("POST /v1/graph", capped(s.handleGraph))
+	s.mux.HandleFunc("POST /v1/profile", capped(s.handleProfile))
 	s.mux.HandleFunc("POST /v1/profile/stream", s.handleProfileStream)
-	s.mux.HandleFunc("POST /v1/partition", s.handlePartition)
-	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
+	s.mux.HandleFunc("POST /v1/partition", capped(s.handlePartition))
+	s.mux.HandleFunc("POST /v1/simulate", capped(s.handleSimulate))
 	s.mux.HandleFunc("POST /v1/simulate/stream", s.handleSimulateStream)
-	s.mux.HandleFunc("POST /v1/shard/open", s.handleShardOpen)
-	s.mux.HandleFunc("POST /v1/shard/compute", s.handleShardCompute)
-	s.mux.HandleFunc("POST /v1/shard/deliver", s.handleShardDeliver)
-	s.mux.HandleFunc("POST /v1/shard/checkpoint", s.handleShardCheckpoint)
-	s.mux.HandleFunc("POST /v1/shard/close", s.handleShardClose)
-	s.mux.HandleFunc("POST /v1/shard/snapshot", s.handleShardSnapshot)
-	s.mux.HandleFunc("POST /v1/shard/abort", s.handleShardAbort)
+	s.mux.HandleFunc("POST /v1/shard/open", capped(s.handleShardOpen))
+	s.mux.HandleFunc("POST /v1/shard/compute", capped(s.handleShardCompute))
+	s.mux.HandleFunc("POST /v1/shard/deliver", capped(s.handleShardDeliver))
+	s.mux.HandleFunc("POST /v1/shard/checkpoint", capped(s.handleShardCheckpoint))
+	s.mux.HandleFunc("POST /v1/shard/close", capped(s.handleShardClose))
+	s.mux.HandleFunc("POST /v1/shard/snapshot", capped(s.handleShardSnapshot))
+	s.mux.HandleFunc("POST /v1/shard/abort", capped(s.handleShardAbort))
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -351,12 +352,59 @@ func fail(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(wire.ErrorResponse{Error: err.Error(), Code: kind})
 }
 
-// decode parses the request body into v.
+// MaxRequestBytes caps the request body of every unary endpoint (all but
+// the two chunked /stream ingest endpoints). The binary /v1/shard/compute
+// body is read whole and /v1/shard/open can carry snapshot blobs, so
+// without a cap one request could pin unbounded memory. A body past the
+// cap is refused with 413 and the error code "body_too_large". A speech
+// arrival cut after the source encodes to about 410 bytes, so 64 MiB
+// holds one host-window of about 400 motes at the default 10 s window; a
+// coordinator whose host-windows outgrow it must run shorter windows or
+// more hosts.
+const MaxRequestBytes = 64 << 20
+
+// capped bounds h's request body at MaxRequestBytes.
+func capped(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
+		h(w, r)
+	}
+}
+
+// bodyError types a request body that cannot be read or parsed: past the
+// cap is a 413 "body_too_large", anything else a 400 "malformed_body".
+func bodyError(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &httpError{
+			code: http.StatusRequestEntityTooLarge,
+			kind: "body_too_large",
+			err:  fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit),
+		}
+	}
+	return &httpError{code: http.StatusBadRequest, kind: "malformed_body", err: fmt.Errorf("bad request body: %v", err)}
+}
+
+// decode parses the JSON request body into v.
 func decode(r *http.Request, v any) error {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return badRequest("bad request body: %v", err)
+		return bodyError(err)
 	}
 	return nil
+}
+
+// readBody reads a (capped) request body whole, sized up front from its
+// Content-Length.
+func readBody(r *http.Request) ([]byte, error) {
+	n := r.ContentLength
+	if n < 0 {
+		n = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, min(n, MaxRequestBytes)+bytes.MinRead))
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		return nil, bodyError(err)
+	}
+	return buf.Bytes(), nil
 }
 
 // acquireJob takes a slot in the bounded pool, waiting in the queue until

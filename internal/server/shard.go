@@ -24,7 +24,7 @@ import (
 // corrupting the host.
 //
 //	POST /v1/shard/open       → build the host for an origin subset
-//	POST /v1/shard/compute    → one window's node phase (arrivals in, air + reduce out)
+//	POST /v1/shard/compute    → one window's node phase (binary arrivals in, JSON air + reduce out)
 //	POST /v1/shard/deliver    → replay the held window at the priced ratio
 //	POST /v1/shard/checkpoint → boundary state blob, session keeps running
 //	POST /v1/shard/close      → final partial counters, session ends
@@ -197,8 +197,12 @@ func (s *Server) handleShardCompute(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var err error
 	defer func() { s.metrics.Observe("shard_compute", time.Since(start), false, err) }()
-	var req wire.ShardComputeRequest
-	if err = decode(r, &req); err != nil {
+	var req *wire.ShardComputeRequest
+	body, err := readBody(r)
+	if err == nil {
+		req, err = decodeShardCompute(body)
+	}
+	if err != nil {
 		fail(w, err)
 		return
 	}
@@ -212,15 +216,6 @@ func (s *Server) handleShardCompute(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	arrivals := make([]wbruntime.HostArrival, len(req.Arrivals))
-	for i, a := range req.Arrivals {
-		v, _, err2 := wire.Unmarshal(a.Value)
-		if err = err2; err != nil {
-			fail(w, badRequest("arrival %d value does not decode: %v", i, err2))
-			return
-		}
-		arrivals[i] = wbruntime.HostArrival{Node: a.Node, Time: a.Time, Source: a.Source, Value: v}
-	}
 	ss.mu.Lock()
 	if req.Window != 0 && req.Window == ss.lastComputeWin && ss.lastComputeResp != nil {
 		// Retry of the window we already computed: replay the cached
@@ -230,7 +225,7 @@ func (s *Server) handleShardCompute(w http.ResponseWriter, r *http.Request) {
 		respond(w, resp)
 		return
 	}
-	rep, err2 := ss.host.ComputeWindow(req.Span, arrivals)
+	rep, err2 := ss.host.ComputeWindow(req.Span, req.Arrivals)
 	if err = err2; err != nil {
 		ss.mu.Unlock()
 		fail(w, shardRuntimeError(err))
@@ -399,6 +394,16 @@ func (s *Server) handleShardAbort(w http.ResponseWriter, r *http.Request) {
 	ss.host.Abort()
 	ss.mu.Unlock()
 	respond(w, struct{}{})
+}
+
+// decodeShardCompute parses a binary compute body
+// (wire.AppendShardComputeRequest); any malformed body is a typed 400.
+func decodeShardCompute(body []byte) (*wire.ShardComputeRequest, error) {
+	req, err := wire.DecodeShardComputeRequest(body)
+	if err != nil {
+		return nil, bodyError(err)
+	}
+	return req, nil
 }
 
 // shardRuntimeError maps VM budget trips to typed 422s and arrival-shaped

@@ -3,24 +3,27 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"wishbone/internal/runtime"
 	"wishbone/internal/wire"
 )
 
-// shardWindowBatch is one window's worth of arrivals, wire-encoded.
+// shardWindowBatch is one window's worth of arrivals.
 type shardWindowBatch struct {
 	span     float64
-	arrivals []wire.ShardArrivalWire
+	arrivals []wire.ShardArrival
 }
 
 // speechShardWindows materializes the speech app's arrivals grouped into
 // fixed windows, nodes ascending within a window (the coordinator's
 // shipping order).
-func speechShardWindows(t *testing.T, e *entry, nodes int, duration, span float64) []shardWindowBatch {
+func speechShardWindows(t testing.TB, e *entry, nodes int, duration, span float64) []shardWindowBatch {
 	t.Helper()
 	inputs := e.traces(traceDefaults(wire.TraceSpec{Seed: 11, Seconds: duration}))
 	if len(inputs) == 0 {
@@ -41,12 +44,8 @@ func speechShardWindows(t *testing.T, e *entry, nodes int, duration, span float6
 			if w >= n {
 				continue
 			}
-			data, err := wire.Marshal(a.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batches[w].arrivals = append(batches[w].arrivals, wire.ShardArrivalWire{
-				Node: node, Time: a.Time, Source: a.Source.ID(), Value: data,
+			batches[w].arrivals = append(batches[w].arrivals, wire.ShardArrival{
+				Node: node, Time: a.Time, Source: a.Source.ID(), Value: a.Value,
 			})
 		}
 	}
@@ -233,4 +232,78 @@ func TestShardCheckpointResume(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("checkpoint-restored session diverged from the original:\norig:     %+v\nrestored: %+v", a, b)
 	}
+}
+
+// TestShardComputeMalformedBody pins the typed refusal of a compute body
+// that does not decode — a JSON body included, since the endpoint
+// accepts only the binary encoding.
+func TestShardComputeMalformedBody(t *testing.T) {
+	_, client := startServer(t, Config{})
+	for _, body := range [][]byte{
+		[]byte(`{"session":"s","window":1,"span":2,"arrivals":[]}`),
+		{wire.SnapshotVersion, 0x01},
+	} {
+		_, err := client.ShardComputeBody(context.Background(), body)
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.StatusCode != 400 || ae.Code != "malformed_body" {
+			t.Fatalf("body % x: got %v, want a 400 malformed_body", body[:2], err)
+		}
+	}
+}
+
+// FuzzShardComputeDecode drives arbitrary bytes through the binary
+// compute decoder the handler runs: every body must decode or come back
+// as the handler's typed 400, never panic, and a body that decodes must
+// re-encode to one that decodes to the same request.
+func FuzzShardComputeDecode(f *testing.F) {
+	e := localEntry(f, wire.GraphSpec{App: "speech"})
+	// One node's first quarter second: ten real audio frames, small
+	// enough for the fuzzer to mutate and minimize quickly.
+	window := speechShardWindows(f, e, 1, 1, 0.25)[0]
+	body, err := wire.AppendShardComputeRequest(nil, &wire.ShardComputeRequest{
+		Session: "0123456789abcdef", Window: 1, Span: window.span, Arrivals: window.arrivals,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body)
+	f.Add(body[:len(body)/2])
+	f.Add([]byte{wire.SnapshotVersion})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeShardCompute(data)
+		if err != nil {
+			var he *httpError
+			if !errors.As(err, &he) || he.code != 400 || he.kind != "malformed_body" {
+				t.Fatalf("decode error %v is not a typed 400", err)
+			}
+			return
+		}
+		again, err := wire.AppendShardComputeRequest(nil, req)
+		if err != nil {
+			t.Fatalf("decoded request does not re-encode: %v", err)
+		}
+		back, err := decodeShardCompute(again)
+		if err != nil {
+			t.Fatalf("re-encoded request does not decode: %v", err)
+		}
+		if canonicalCompute(t, req) != canonicalCompute(t, back) {
+			t.Fatal("decode∘encode is not stable")
+		}
+	})
+}
+
+// canonicalCompute renders a request with every float as its bit
+// pattern, so NaNs compare equal to themselves.
+func canonicalCompute(t *testing.T, req *wire.ShardComputeRequest) string {
+	t.Helper()
+	var b strings.Builder
+	fmt.Fprintf(&b, "%q %d %x", req.Session, req.Window, math.Float64bits(req.Span))
+	for _, a := range req.Arrivals {
+		v, err := wire.Marshal(a.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, " %d/%x/%d/%x", a.Node, math.Float64bits(a.Time), a.Source, v)
+	}
+	return b.String()
 }

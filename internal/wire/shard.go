@@ -1,6 +1,12 @@
 package wire
 
-// Request and response bodies of the shard-host protocol: the HTTP/JSON
+import (
+	"fmt"
+
+	"wishbone/internal/dataflow"
+)
+
+// Request and response bodies of the shard-host protocol: the HTTP
 // surface a coordinator (internal/dist) drives to place one simulation's
 // origin shards on recruited wbserved peers. A shard session is one
 // ShardHost living across requests; the coordinator phases it strictly —
@@ -8,10 +14,13 @@ package wire
 // reduce contributions) and deliver (broadcast the priced ratio), then
 // close (collect the host's partial counters) or abort.
 //
-// Arrival values and reduce contributions travel in the repo's binary
-// value encoding (Marshal/Unmarshal, base64 inside JSON) rather than as
-// JSON numbers: the round trip is bit-exact by construction, which is
-// what keeps distributed Results byte-identical to single-host runs.
+// Every body is JSON except the compute request, which carries a whole
+// window of arrivals and is binary (AppendShardComputeRequest). Arrival
+// values and reduce contributions travel in the repo's binary value
+// encoding (Marshal/Unmarshal; reduce data base64 inside the JSON
+// response) rather than as JSON numbers: the round trip is bit-exact by
+// construction, which is what keeps distributed Results byte-identical
+// to single-host runs.
 
 // ShardOpenRequest opens a shard session hosting the given origin nodes.
 // The peer re-elaborates Graph locally; GraphHash (the graph's structural
@@ -55,13 +64,14 @@ type ShardOpenResponse struct {
 	GraphHash string `json:"graphHash"`
 }
 
-// ShardArrivalWire is one arrival shipped to a shard host: node, time,
-// source operator ID, and the value in the binary codec (base64 in JSON).
-type ShardArrivalWire struct {
-	Node   int     `json:"node"`
-	Time   float64 `json:"t"`
-	Source int     `json:"source"`
-	Value  []byte  `json:"v"`
+// ShardArrival is one arrival shipped to a shard host: origin node,
+// time, source operator ID (the coordinator and host hold separate Graph
+// instances of the same structure), and the element.
+type ShardArrival struct {
+	Node   int
+	Time   float64
+	Source int
+	Value  dataflow.Value
 }
 
 // ShardComputeRequest ships one window's arrivals (owned origins only,
@@ -71,11 +81,81 @@ type ShardArrivalWire struct {
 // instead of recomputing, which is what makes the coordinator's
 // retry-after-timeout safe on this non-idempotent call (the first
 // attempt may have executed even though its response was lost).
+//
+// The request travels as one binary body in the snapshot framing
+// (SnapshotWriter): the version byte, Session, Window, Span and the
+// arrival count, then per arrival the node, the time's exact IEEE-754
+// bits, the source and the value as AppendMarshal writes it. The server
+// reads the body whole, so it is capped like every unary request body
+// (server.MaxRequestBytes); a window too large for the cap is rejected
+// with 413 and must be split by running shorter windows.
 type ShardComputeRequest struct {
-	Session  string             `json:"session"`
-	Window   int64              `json:"window,omitempty"`
-	Span     float64            `json:"span"`
-	Arrivals []ShardArrivalWire `json:"arrivals"`
+	Session  string
+	Window   int64
+	Span     float64
+	Arrivals []ShardArrival
+}
+
+// minShardArrivalBytes is the smallest encoded arrival: one-byte node and
+// source varints, the 8-byte time and a one-byte value (a nil tag).
+const minShardArrivalBytes = 11
+
+// AppendShardComputeRequest appends req's binary body to dst and returns
+// the extended slice; callers reuse dst across windows. It fails only on
+// a value the element codec does not support.
+func AppendShardComputeRequest(dst []byte, req *ShardComputeRequest) ([]byte, error) {
+	w := SnapshotWriter{buf: append(dst, SnapshotVersion)}
+	w.String(req.Session)
+	w.Int(req.Window)
+	w.F64(req.Span)
+	w.Uvarint(uint64(len(req.Arrivals)))
+	for i := range req.Arrivals {
+		a := &req.Arrivals[i]
+		w.Int(int64(a.Node))
+		w.F64(a.Time)
+		w.Int(int64(a.Source))
+		var err error
+		if w.buf, err = AppendMarshal(w.buf, a.Value); err != nil {
+			return dst, fmt.Errorf("wire: arrival value for node %d: %w", a.Node, err)
+		}
+	}
+	return w.buf, nil
+}
+
+// DecodeShardComputeRequest parses a body written by
+// AppendShardComputeRequest. Every failure — truncation, a count the
+// bytes left cannot hold, a bad value, trailing bytes — matches
+// ErrMalformedSnapshot, and no allocation is sized by a claimed count
+// before the bytes to back it are known to be there. Decoded values do
+// not alias body.
+func DecodeShardComputeRequest(body []byte) (*ShardComputeRequest, error) {
+	r, err := NewSnapshotReader(body)
+	if err != nil {
+		return nil, err
+	}
+	req := &ShardComputeRequest{Session: r.String(), Window: r.Int(), Span: r.F64()}
+	n := r.Count()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if n > len(r.data)/minShardArrivalBytes {
+		return nil, fmt.Errorf("wire: %d arrivals cannot fit in the %d bytes left: %w", n, len(r.data), ErrMalformedSnapshot)
+	}
+	req.Arrivals = make([]ShardArrival, n)
+	for i := range req.Arrivals {
+		a := &req.Arrivals[i]
+		a.Node = int(r.Int())
+		a.Time = r.F64()
+		a.Source = int(r.Int())
+		a.Value = r.value()
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("wire: arrival %d: %w", i, err)
+		}
+	}
+	if !r.Done() {
+		return nil, fmt.Errorf("wire: %d trailing bytes after the arrivals: %w", len(r.data), ErrMalformedSnapshot)
+	}
+	return req, nil
 }
 
 // ShardReduceWire is one in-network reduce contribution returning to the

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"wishbone/internal/dataflow"
 )
 
 // Snapshot framing: the byte-level encoder/decoder under every serialized
@@ -209,6 +211,20 @@ func (r *SnapshotReader) Blob() []byte {
 
 // String reads a length-prefixed string.
 func (r *SnapshotReader) String() string { return string(r.Blob()) }
+
+// value reads one element written with AppendMarshal.
+func (r *SnapshotReader) value() dataflow.Value {
+	if r.err != nil {
+		return nil
+	}
+	v, n, err := Unmarshal(r.data)
+	if err != nil {
+		r.err = fmt.Errorf("%w: %w", err, ErrMalformedSnapshot)
+		return nil
+	}
+	r.data = r.data[n:]
+	return v
+}
 
 // SaveSnapshot serializes the reassembler's in-flight element (if any)
 // into w. Scratch capacity is not part of the logical state and is not

@@ -171,10 +171,13 @@ func Unmarshal(data []byte) (dataflow.Value, int, error) {
 			return nil, 0, fmt.Errorf("wire: bad length varint (tag 0x%02x)", tag)
 		}
 		rest = rest[used:]
-		total := int(n) * sliceElemSize(tag)
-		if err := need(total); err != nil {
-			return nil, 0, err
+		size := sliceElemSize(tag)
+		if n > uint64(len(rest)/size) {
+			// Checked before multiplying: a hostile length must not
+			// overflow into a negative (or wrapped) byte count.
+			return nil, 0, fmt.Errorf("wire: truncated element (tag 0x%02x: %d elements, %d bytes left)", tag, n, len(rest))
 		}
+		total := int(n) * size
 		consumed := 1 + used + total
 		switch tag {
 		case tagBytes:

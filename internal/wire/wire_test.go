@@ -66,6 +66,9 @@ func TestMarshalRejectsUnknown(t *testing.T) {
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	for _, bad := range [][]byte{
 		{}, {0x7f}, {tagInt16, 0x01}, {tagFloat64s, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		// Lengths whose byte count overflows int: 2^63 bytes, 2^62 int16s.
+		{tagBytes, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x00},
+		{tagInt16s, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 0x00},
 	} {
 		if _, _, err := Unmarshal(bad); err == nil {
 			t.Errorf("Unmarshal(% x): expected error", bad)
